@@ -21,6 +21,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -66,8 +67,34 @@ struct UsageError : std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
+/// Worker-thread flags accept at most this many (0 = all hardware threads).
+constexpr std::uint64_t kMaxThreads = 1024;
+
+/// Every unsigned numeric flag and the largest value it accepts: the range
+/// of the field it sets, or a sane bound where the field is wider.
+const std::map<std::string, std::uint64_t>& unsigned_flag_limits() {
+  constexpr std::uint64_t kAny = std::numeric_limits<std::uint64_t>::max();
+  constexpr std::uint64_t kU32 = std::numeric_limits<std::uint32_t>::max();
+  constexpr std::uint64_t kInt = std::numeric_limits<int>::max();
+  constexpr std::uint64_t kPort = std::numeric_limits<std::uint16_t>::max();
+  static const std::map<std::string, std::uint64_t> limits = {
+      {"base-ts", kU32},        {"cache", kAny},          {"cone-bitset-min", kAny},
+      {"deadline-ms", kInt},    {"fanout", kMaxThreads},  {"flush-every-ms", kAny},
+      {"flush-every-n", kAny},  {"full-vps", kU32},       {"idle-timeout-ms", kInt},
+      {"limit", kU32},          {"max-conns", kAny},      {"mmap", 1},
+      {"n", kU32},              {"partial-vps", kU32},    {"poll-ms", kAny},
+      {"port", kPort},          {"replication", kAny},    {"retention", kAny},
+      {"seed", kAny},           {"serve-port", kPort},    {"serve-threads", kMaxThreads},
+      {"slots", kAny},          {"step-seconds", kU32},   {"steps", kAny},
+      {"threads", kMaxThreads}, {"top", kAny},
+  };
+  return limits;
+}
+
 /// Minimal --flag value argument parser.  Flags in kBooleanFlags take no
-/// value ("--log-json"); everything else is --flag value.
+/// value ("--log-json"); everything else is --flag value.  Numeric flags are
+/// checked here, so a malformed or out-of-range number is a usage error
+/// naming the flag before any command body runs.
 class Args {
  public:
   Args(int argc, char** argv, int first) {
@@ -83,6 +110,7 @@ class Args {
       }
       if (i + 1 >= argc) throw UsageError("missing value for --" + key);
       values_[key] = argv[++i];
+      if (unsigned_flag_limits().contains(key)) (void)get_u64(key, 0);
     }
   }
 
@@ -104,9 +132,25 @@ class Args {
   [[nodiscard]] std::string get_or(const std::string& key, const std::string& fallback) const {
     return get(key).value_or(fallback);
   }
+  /// An unsigned flag listed in unsigned_flag_limits(): decimal digits only,
+  /// within the flag's range.
   [[nodiscard]] std::uint64_t get_u64(const std::string& key, std::uint64_t fallback) const {
     const auto value = get(key);
-    return value ? std::strtoull(value->c_str(), nullptr, 10) : fallback;
+    if (!value) return fallback;
+    const std::uint64_t max = unsigned_flag_limits().at(key);
+    const auto parsed = util::parse_unsigned<std::uint64_t>(*value);
+    if (!parsed || *parsed > max) {
+      throw UsageError("--" + key + " expects an integer in [0, " + std::to_string(max) +
+                       "], got '" + *value + "'");
+    }
+    return *parsed;
+  }
+  [[nodiscard]] double get_double(const std::string& key, double fallback) const {
+    const auto value = get(key);
+    if (!value) return fallback;
+    const auto parsed = util::parse_double(*value);
+    if (!parsed) throw UsageError("--" + key + " expects a number, got '" + *value + "'");
+    return *parsed;
   }
 
  private:
@@ -129,10 +173,8 @@ topogen::GroundTruth generate_truth(const Args& args) {
   auto params = topogen::GenParams::preset(args.get_or("preset", "medium"));
   params.seed = args.get_u64("seed", 42);
   // Adversarial scenario knobs (EXPERIMENTS.md): both default off.
-  params.hybrid_link_fraction =
-      std::strtod(args.get_or("hybrid-fraction", "0").c_str(), nullptr);
-  params.route_leaker_fraction =
-      std::strtod(args.get_or("leaker-fraction", "0").c_str(), nullptr);
+  params.hybrid_link_fraction = args.get_double("hybrid-fraction", 0.0);
+  params.route_leaker_fraction = args.get_double("leaker-fraction", 0.0);
   return topogen::generate(params);
 }
 
@@ -824,11 +866,11 @@ std::pair<std::string, std::uint16_t> parse_target(const std::string& target) {
   const auto colon = target.rfind(':');
   if (colon == std::string::npos) return {target, 7464};
   const std::string host = target.substr(0, colon);
-  const auto port = std::strtoul(target.c_str() + colon + 1, nullptr, 10);
-  if (host.empty() || port == 0 || port > 65535) {
+  const auto port = util::parse_unsigned<std::uint16_t>(target.substr(colon + 1));
+  if (host.empty() || !port || *port == 0) {
     throw UsageError("malformed <host:port> '" + target + "'");
   }
-  return {host, static_cast<std::uint16_t>(port)};
+  return {host, *port};
 }
 
 // Scrape a running asrankd's Prometheus exposition, like
@@ -874,8 +916,7 @@ int cmd_ingest(const Args& args) {
   ingest::EpochBuilderConfig builder_config;
   builder_config.inference.threads = args.get_u64("threads", 0);
   builder_config.cone_threads = args.get_u64("threads", 0);
-  builder_config.full_closure_threshold =
-      std::strtod(args.get_or("dirty-threshold", "0.5").c_str(), nullptr);
+  builder_config.full_closure_threshold = args.get_double("dirty-threshold", 0.5);
   builder_config.verify_batch = args.get("verify-batch").has_value();
   // Extra algorithm sections per emitted epoch.  The incremental builder is
   // asrank-only, so asrank stays the primary slot; the rest re-infer from

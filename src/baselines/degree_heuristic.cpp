@@ -3,22 +3,19 @@
 #include <vector>
 
 #include "core/clique.h"
-#include "topology/interner.h"
+#include "paths/path_table.h"
 
 namespace asrank::baselines {
 
 AsGraph DegreeHeuristic::infer(const paths::PathCorpus& corpus) const {
   using topology::NodeId;
 
-  // Dense id space over the corpus; observed adjacency as CSR rows, so node
-  // degree is a row length and the pair sweep is an ascending-id walk.
-  std::vector<Asn> asns;
-  for (const paths::PathRecord& record : corpus.records()) {
-    const auto hops = record.path.hops();
-    asns.insert(asns.end(), hops.begin(), hops.end());
-  }
-  const topology::AsnInterner interner = topology::AsnInterner::from_asns(std::move(asns));
-  const core::ObservedAdjacency adjacency = core::ObservedAdjacency::build(interner, corpus);
+  // The corpus's path table; observed adjacency as CSR rows, so node degree
+  // is a row length and the pair sweep is an ascending-id walk.
+  auto table = paths::PathTable::intern(corpus);
+  table.index_links();
+  const topology::AsnInterner& interner = table.interner();
+  const core::ObservedAdjacency adjacency = core::ObservedAdjacency::build(table);
 
   AsGraph graph;
   for (NodeId node = 0; node < interner.size(); ++node) {

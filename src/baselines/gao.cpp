@@ -4,92 +4,50 @@
 #include <vector>
 
 #include "core/clique.h"
-#include "topology/interner.h"
+#include "paths/path_table.h"
 
 namespace asrank::baselines {
 
-namespace {
+AsGraph GaoInference::infer(const paths::PathCorpus& corpus) const {
+  using topology::NodeId;
 
-using paths::PathCorpus;
-using paths::PathRecord;
-using topology::AsnInterner;
-using topology::NodeId;
-
-constexpr std::uint32_t kNoLink = 0xffffffffu;
-
-constexpr std::uint64_t pack(NodeId a, NodeId b) noexcept {
-  const NodeId lo = std::min(a, b);
-  const NodeId hi = std::max(a, b);
-  return static_cast<std::uint64_t>(lo) << 32 | hi;
-}
-
-}  // namespace
-
-AsGraph GaoInference::infer(const PathCorpus& corpus) const {
-  // Phase 1: node degrees, as CSR row lengths over a dense id space.
-  std::vector<Asn> asns;
-  for (const PathRecord& record : corpus.records()) {
-    const auto hops = record.path.hops();
-    asns.insert(asns.end(), hops.begin(), hops.end());
-  }
-  const AsnInterner interner = AsnInterner::from_asns(std::move(asns));
-  const core::ObservedAdjacency adjacency = core::ObservedAdjacency::build(interner, corpus);
+  // Phase 1: node degrees, as CSR row lengths over the corpus's path table.
+  auto table = paths::PathTable::intern(corpus);
+  table.index_links();
+  const topology::AsnInterner& interner = table.interner();
+  const core::ObservedAdjacency adjacency = core::ObservedAdjacency::build(table);
   const auto degree = [&](NodeId id) { return adjacency.neighbors(id).size(); };
-
-  // The directed-transit table: sorted packed (lo, hi) id pairs with
-  // per-direction counts alongside.  Pair set == adjacency pair set, so it
-  // can be gathered in one corpus pass.
-  std::vector<std::uint64_t> link_keys;
-  std::vector<NodeId> ids;
-  for (const PathRecord& record : corpus.records()) {
-    interner.translate(record.path.hops(), ids);
-    for (std::size_t i = 0; i + 1 < ids.size(); ++i) {
-      if (ids[i] == ids[i + 1]) continue;
-      link_keys.push_back(pack(ids[i], ids[i + 1]));
-    }
-  }
-  std::sort(link_keys.begin(), link_keys.end());
-  link_keys.erase(std::unique(link_keys.begin(), link_keys.end()), link_keys.end());
-  const auto link_index = [&](NodeId a, NodeId b) -> std::uint32_t {
-    const std::uint64_t key = pack(a, b);
-    const auto it = std::lower_bound(link_keys.begin(), link_keys.end(), key);
-    if (it == link_keys.end() || *it != key) return kNoLink;
-    return static_cast<std::uint32_t>(it - link_keys.begin());
-  };
-  std::vector<std::uint32_t> lo_provides(link_keys.size(), 0);
-  std::vector<std::uint32_t> hi_provides(link_keys.size(), 0);
-
-  // Phase 2: uphill/downhill transit counts around each path's top provider.
-  const auto count_transit = [&](NodeId provider, NodeId customer) {
-    const std::uint32_t link = link_index(provider, customer);
-    if (provider < customer) {
-      ++lo_provides[link];
-    } else {
-      ++hi_provides[link];
-    }
-  };
-  for (const PathRecord& record : corpus.records()) {
-    interner.translate(record.path.hops(), ids);
-    if (ids.size() < 2) continue;
+  const auto top_of = [&](std::span<const NodeId> ids) {
     std::size_t top = 0;
     for (std::size_t i = 1; i < ids.size(); ++i) {
       if (degree(ids[i]) > degree(ids[top])) top = i;
     }
+    return top;
+  };
+
+  // Phase 2: uphill/downhill transit counts per link around each path's top
+  // provider.
+  std::vector<std::uint32_t> lo_provides(table.link_count(), 0);
+  std::vector<std::uint32_t> hi_provides(table.link_count(), 0);
+  for (std::size_t r = 0; r < table.size(); ++r) {
+    const auto ids = table.hops(r);
+    const auto links = table.hop_links(r);
+    if (ids.size() < 2) continue;
+    const std::size_t top = top_of(ids);
     for (std::size_t j = 1; j < ids.size(); ++j) {
-      if (ids[j - 1] == ids[j]) continue;
-      if (j <= top) {
-        count_transit(ids[j], ids[j - 1]);  // uphill: right provides
-      } else {
-        count_transit(ids[j - 1], ids[j]);  // downhill: left provides
-      }
+      if (ids[j - 1] == ids[j] || links[j] == paths::kNoLink) continue;
+      // Uphill the right side provides, downhill the left.
+      const NodeId provider = j <= top ? ids[j] : ids[j - 1];
+      const NodeId customer = j <= top ? ids[j - 1] : ids[j];
+      ++(provider < customer ? lo_provides : hi_provides)[links[j]];
     }
   }
 
   // Phase 3: transit / sibling assignment.
   AsGraph graph;
-  for (std::size_t i = 0; i < link_keys.size(); ++i) {
-    const NodeId lo_id = static_cast<NodeId>(link_keys[i] >> 32);
-    const NodeId hi_id = static_cast<NodeId>(link_keys[i]);
+  for (std::size_t i = 0; i < table.link_count(); ++i) {
+    const NodeId lo_id = table.link_lo(i), hi_id = table.link_hi(i);
+    if (lo_id == hi_id) continue;  // prepending repeat
     const Asn lo = interner.asn_of(lo_id);
     const Asn hi = interner.asn_of(hi_id);
     const bool lo_transits = lo_provides[i] > config_.sibling_threshold;
@@ -108,17 +66,16 @@ AsGraph GaoInference::infer(const PathCorpus& corpus) const {
   }
 
   // Phase 4: peering around path tops.
-  for (const PathRecord& record : corpus.records()) {
-    interner.translate(record.path.hops(), ids);
+  for (std::size_t r = 0; r < table.size(); ++r) {
+    const auto ids = table.hops(r);
+    const auto links = table.hop_links(r);
     if (ids.size() < 2) continue;
-    std::size_t top = 0;
-    for (std::size_t i = 1; i < ids.size(); ++i) {
-      if (degree(ids[i]) > degree(ids[top])) top = i;
-    }
-    const auto consider = [&](NodeId a, NodeId b) {
-      if (a == b) return;
-      const std::uint32_t link = link_index(a, b);
-      if (link == kNoLink) return;
+    const std::size_t top = top_of(ids);
+    // The link closing at hop j (between hops j-1 and j).
+    const auto consider = [&](std::size_t j) {
+      const NodeId a = ids[j - 1], b = ids[j];
+      const std::uint32_t link = links[j];
+      if (a == b || link == paths::kNoLink) return;
       // Not peering if either direction shows repeated transit evidence.
       if (lo_provides[link] > config_.sibling_threshold ||
           hi_provides[link] > config_.sibling_threshold) {
@@ -131,8 +88,8 @@ AsGraph GaoInference::infer(const PathCorpus& corpus) const {
         graph.add_p2p(interner.asn_of(a), interner.asn_of(b));
       }
     };
-    if (top > 0) consider(ids[top - 1], ids[top]);
-    if (top + 1 < ids.size()) consider(ids[top], ids[top + 1]);
+    if (top > 0) consider(top);
+    if (top + 1 < ids.size()) consider(top + 1);
   }
 
   return graph;

@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "baselines/degree_heuristic.h"
-#include "topology/interner.h"
+#include "paths/path_table.h"
 
 namespace asrank::baselines {
 
@@ -14,15 +14,6 @@ namespace {
 using paths::PathCorpus;
 using paths::PathRecord;
 using topology::AsnInterner;
-using topology::NodeId;
-
-constexpr std::uint32_t kNoLink = 0xffffffffu;
-
-constexpr std::uint64_t pack(NodeId a, NodeId b) noexcept {
-  const NodeId lo = std::min(a, b);
-  const NodeId hi = std::max(a, b);
-  return static_cast<std::uint64_t>(lo) << 32 | hi;
-}
 
 /// Link labelling during the search.  kLoProv/kHiProv name the providing
 /// side of the normalized (lo, hi) pair.
@@ -70,58 +61,30 @@ AsGraph TorLocalSearch::infer(const PathCorpus& corpus) const {
   initial_config.provider_ratio = config_.initial_provider_ratio;
   const AsGraph initial = DegreeHeuristic(initial_config).infer(corpus);
 
-  // The search state is dense: hop sequences are translated to NodeIds once,
-  // each path stores the link-table index of every hop pair, and the
-  // objective evaluation walks flat arrays against a per-link Label byte —
-  // re-labelling a link during the climb is a single store.
-  std::vector<Asn> asns;
-  for (const PathRecord& record : corpus.records()) {
-    const auto hops = record.path.hops();
-    asns.insert(asns.end(), hops.begin(), hops.end());
-  }
-  const AsnInterner interner = AsnInterner::from_asns(std::move(asns));
-
-  // Deduplicate paths (identical rows add identical objective terms).
-  std::vector<NodeId> path_flat;
-  std::vector<std::size_t> path_off{0};
+  // The search state is the path table of the distinct paths (identical
+  // rows add identical objective terms): flat hop ids, the per-hop link
+  // index, and a per-link Label byte — re-labelling a link during the climb
+  // is a single store.
+  PathCorpus distinct;
   {
     std::unordered_set<std::string> seen;
-    std::vector<NodeId> ids;
     for (const PathRecord& record : corpus.records()) {
-      if (!seen.insert(record.path.str()).second) continue;
-      interner.translate(record.path.hops(), ids);
-      path_flat.insert(path_flat.end(), ids.begin(), ids.end());
-      path_off.push_back(path_flat.size());
+      if (seen.insert(record.path.str()).second) distinct.add(record);
     }
   }
-  const std::size_t path_count = path_off.size() - 1;
-  const auto hops_of = [&](std::size_t p) {
-    return std::span<const NodeId>(path_flat).subspan(path_off[p],
-                                                      path_off[p + 1] - path_off[p]);
-  };
+  auto table = paths::PathTable::intern(distinct);
+  table.index_links();
+  const AsnInterner& interner = table.interner();
+  const std::size_t link_count = table.link_count();
+  // Self-links (prepending repeats) carry no label: no labelling can satisfy
+  // a path through one, and the output never holds one.
+  const auto self_link = [&](std::size_t i) { return table.link_lo(i) == table.link_hi(i); };
 
-  // Link table over all distinct adjacent pairs (== the initial graph's
-  // links), sorted packed ids.
-  std::vector<std::uint64_t> link_keys;
-  for (std::size_t p = 0; p < path_count; ++p) {
-    const auto hops = hops_of(p);
-    for (std::size_t i = 1; i < hops.size(); ++i) {
-      if (hops[i - 1] == hops[i]) continue;
-      link_keys.push_back(pack(hops[i - 1], hops[i]));
-    }
-  }
-  std::sort(link_keys.begin(), link_keys.end());
-  link_keys.erase(std::unique(link_keys.begin(), link_keys.end()), link_keys.end());
-  const auto link_index = [&](NodeId a, NodeId b) -> std::uint32_t {
-    const std::uint64_t key = pack(a, b);
-    const auto it = std::lower_bound(link_keys.begin(), link_keys.end(), key);
-    return static_cast<std::uint32_t>(it - link_keys.begin());
-  };
-
-  std::vector<Label> labels(link_keys.size());
-  for (std::size_t i = 0; i < link_keys.size(); ++i) {
-    const Asn lo = interner.asn_of(static_cast<NodeId>(link_keys[i] >> 32));
-    const Asn hi = interner.asn_of(static_cast<NodeId>(link_keys[i]));
+  std::vector<Label> labels(link_count);
+  for (std::size_t i = 0; i < link_count; ++i) {
+    if (self_link(i)) continue;
+    const Asn lo = interner.asn_of(table.link_lo(i));
+    const Asn hi = interner.asn_of(table.link_hi(i));
     const auto link = initial.link(lo, hi);
     if (link->type == LinkType::kP2P) {
       labels[i] = Label::kPeer;
@@ -130,32 +93,29 @@ AsGraph TorLocalSearch::infer(const PathCorpus& corpus) const {
     }
   }
 
-  // Per-hop link indices (kNoLink for a prepending repeat, which no
-  // labelling can satisfy) and the link -> covering-paths index.
-  std::vector<std::uint32_t> link_of_hop(path_flat.size(), kNoLink);
+  // The link -> covering-paths index.
   std::vector<std::uint64_t> cover_pairs;  // (link, path) packed
-  for (std::size_t p = 0; p < path_count; ++p) {
-    const auto hops = hops_of(p);
-    for (std::size_t i = 1; i < hops.size(); ++i) {
-      if (hops[i - 1] == hops[i]) continue;
-      const std::uint32_t link = link_index(hops[i - 1], hops[i]);
-      link_of_hop[path_off[p] + i] = link;
-      cover_pairs.push_back(static_cast<std::uint64_t>(link) << 32 | p);
+  for (std::size_t p = 0; p < table.size(); ++p) {
+    const auto links = table.hop_links(p);
+    for (std::size_t i = 1; i < links.size(); ++i) {
+      if (links[i] == paths::kNoLink || self_link(links[i])) continue;
+      cover_pairs.push_back(static_cast<std::uint64_t>(links[i]) << 32 | p);
     }
   }
   std::sort(cover_pairs.begin(), cover_pairs.end());
   cover_pairs.erase(std::unique(cover_pairs.begin(), cover_pairs.end()),
                     cover_pairs.end());
-  std::vector<std::uint64_t> cover_off(link_keys.size() + 1, 0);
+  std::vector<std::uint64_t> cover_off(link_count + 1, 0);
   for (const std::uint64_t pair : cover_pairs) ++cover_off[(pair >> 32) + 1];
-  for (std::size_t i = 0; i < link_keys.size(); ++i) cover_off[i + 1] += cover_off[i];
+  for (std::size_t i = 0; i < link_count; ++i) cover_off[i + 1] += cover_off[i];
 
   const auto path_valley_free = [&](std::size_t p) {
-    const auto hops = hops_of(p);
+    const auto hops = table.hops(p);
+    const auto links = table.hop_links(p);
     int state = 0;  // 0 = ascending, 1 = peaked/descending
     for (std::size_t i = 1; i < hops.size(); ++i) {
-      const std::uint32_t link = link_of_hop[path_off[p] + i];
-      if (link == kNoLink) return false;
+      const std::uint32_t link = links[i];
+      if (link == paths::kNoLink || self_link(link)) return false;
       const Label label = labels[link];
       if (label == Label::kPeer) {
         if (state != 0) return false;
@@ -189,7 +149,7 @@ AsGraph TorLocalSearch::infer(const PathCorpus& corpus) const {
   // sorted AsGraph::links() snapshot.
   for (std::size_t pass = 0; pass < config_.max_passes; ++pass) {
     bool improved = false;
-    for (std::size_t link = 0; link < link_keys.size(); ++link) {
+    for (std::size_t link = 0; link < link_count; ++link) {
       if (cover_off[link] == cover_off[link + 1]) continue;
       const Label current = labels[link];
 
@@ -223,9 +183,10 @@ AsGraph TorLocalSearch::infer(const PathCorpus& corpus) const {
   }
 
   AsGraph graph;
-  for (std::size_t i = 0; i < link_keys.size(); ++i) {
-    const Asn lo = interner.asn_of(static_cast<NodeId>(link_keys[i] >> 32));
-    const Asn hi = interner.asn_of(static_cast<NodeId>(link_keys[i]));
+  for (std::size_t i = 0; i < link_count; ++i) {
+    if (self_link(i)) continue;
+    const Asn lo = interner.asn_of(table.link_lo(i));
+    const Asn hi = interner.asn_of(table.link_hi(i));
     switch (labels[i]) {
       case Label::kLoProv: graph.add_p2c(lo, hi); break;
       case Label::kHiProv: graph.add_p2c(hi, lo); break;

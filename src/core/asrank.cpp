@@ -8,7 +8,7 @@
 
 #include "obs/log.h"
 #include "obs/timer.h"
-#include "topology/interner.h"
+#include "paths/path_table.h"
 #include "topology/topology_view.h"
 #include "util/thread_pool.h"
 
@@ -16,24 +16,10 @@ namespace asrank::core {
 
 namespace {
 
+using paths::kNoLink;
 using paths::PathCorpus;
-using paths::PathRecord;
-using topology::AsnInterner;
 using topology::kNoNode;
 using topology::NodeId;
-
-constexpr std::uint32_t kNoLink = 0xffffffffu;
-
-constexpr std::uint64_t pack(NodeId a, NodeId b) noexcept {
-  const NodeId lo = std::min(a, b);
-  const NodeId hi = std::max(a, b);
-  return static_cast<std::uint64_t>(lo) << 32 | hi;
-}
-
-constexpr NodeId lo_of(std::uint64_t key) noexcept {
-  return static_cast<NodeId>(key >> 32);
-}
-constexpr NodeId hi_of(std::uint64_t key) noexcept { return static_cast<NodeId>(key); }
 
 /// Working state for one observed link during inference.
 struct LinkState {
@@ -41,16 +27,14 @@ struct LinkState {
   Kind kind = Kind::kUnknown;
   std::uint32_t votes_lo_prov = 0;  ///< votes that the lower-id side provides
   std::uint32_t votes_hi_prov = 0;
-  std::uint32_t observations = 0;   ///< times the link appeared in paths
 };
 
-/// The pipeline's working state is entirely dense: one AsnInterner built over
-/// the sanitized corpus maps every observed AS onto [0, n); the link table is
-/// a sorted vector of packed (lo, hi) id pairs with a parallel LinkState
-/// array; paths are translated once into a flat id array with per-hop link
-/// indices precomputed, so the vote and fixpoint inner loops never hash and
-/// never binary-search.  Interner ids ascend with ASN, so id comparisons and
-/// tie-breaks reproduce the legacy ASN-based ones exactly.
+/// The pipeline's working state is entirely dense: the interned
+/// paths::PathTable built by the sanitizer holds every path as NodeIds of one
+/// AsnInterner, the sorted unique link table (a parallel LinkState array
+/// here), and per-hop link indices, so the vote and fixpoint inner loops
+/// never hash, translate, or binary-search.  Interner ids ascend with ASN,
+/// so id comparisons and tie-breaks reproduce ASN-based ones exactly.
 class Pipeline {
  public:
   Pipeline(const InferenceConfig& config, const PathCorpus& raw)
@@ -62,8 +46,7 @@ class Pipeline {
 
  private:
   void run(const PathCorpus& raw);
-  void discard_poisoned(const PathCorpus& corpus);
-  void index_paths_and_links();
+  void discard_poisoned();
   void detect_partial_vps();
   void vote_on_paths();
   void commit_votes();
@@ -77,99 +60,73 @@ class Pipeline {
   [[nodiscard]] bool in_clique(NodeId id) const noexcept {
     return id != kNoNode && clique_bits_[id];
   }
-  [[nodiscard]] std::uint32_t link_index(NodeId a, NodeId b) const noexcept {
-    const std::uint64_t key = pack(a, b);
-    const auto it = std::lower_bound(link_keys_.begin(), link_keys_.end(), key);
-    if (it == link_keys_.end() || *it != key) return kNoLink;
-    return static_cast<std::uint32_t>(it - link_keys_.begin());
-  }
   void set_c2p(std::uint32_t link, NodeId provider, NodeId customer) noexcept {
     link_state_[link].kind = provider < customer ? LinkState::Kind::kC2pLoProv
                                                  : LinkState::Kind::kC2pHiProv;
-  }
-
-  /// Flat hop-id window of record r.
-  [[nodiscard]] std::span<const NodeId> hops_of(std::size_t r) const noexcept {
-    return std::span<const NodeId>(hops_flat_)
-        .subspan(rec_off_[r], rec_off_[r + 1] - rec_off_[r]);
-  }
-  /// Link indices aligned with hops_of(r): entry j (j >= 1) is the link
-  /// between hops j-1 and j; entry 0 is kNoLink.
-  [[nodiscard]] std::span<const std::uint32_t> links_of(std::size_t r) const noexcept {
-    return std::span<const std::uint32_t>(link_of_hop_)
-        .subspan(rec_off_[r], rec_off_[r + 1] - rec_off_[r]);
   }
 
   const InferenceConfig& config_;
   util::ThreadPool pool_;
   InferenceResult result_;
 
-  AsnInterner interner_;               ///< id space: every sanitized-corpus AS
+  paths::PathTable table_;             ///< sanitized, then post-step-4 paths
   std::vector<bool> clique_bits_;      ///< by NodeId
-  std::vector<bool> transit_bits_;     ///< seen between two other ASes
+  std::vector<bool> transit_bits_;     ///< seen between two other hops
   std::vector<std::uint8_t> rec_partial_;  ///< record from a partial-view VP
-
-  std::vector<std::uint64_t> link_keys_;   ///< sorted packed (lo, hi) id pairs
-  std::vector<LinkState> link_state_;      ///< parallel to link_keys_
-
-  std::vector<NodeId> hops_flat_;          ///< all surviving paths, translated
-  std::vector<std::uint32_t> link_of_hop_; ///< parallel to hops_flat_
-  std::vector<std::size_t> rec_off_;       ///< record r = flat [off[r], off[r+1])
+  std::vector<LinkState> link_state_;  ///< parallel to table_'s links
 };
 
 void Pipeline::run(const PathCorpus& raw) {
-  // Step 1: sanitize.
+  // Step 1: sanitize straight into the interned path table, then index its
+  // links; every later stage reads the table.
   obs::log_debug("inference start", {{"records", raw.records().size()},
                                      {"threads", config_.threads}});
-  auto sanitized = [&] {
-    obs::StageTimer timer("sanitize");
-    return paths::sanitize(raw, config_.sanitizer);
-  }();
-  result_.audit.sanitize = sanitized.stats;
-
-  // The id space for every later stage: all ASes of the sanitized corpus
-  // (poisoned-path discard only removes whole paths, never introduces ASes,
-  // so this interner covers the surviving corpus too).
   {
-    std::vector<Asn> asns;
-    for (const PathRecord& record : sanitized.corpus.records()) {
-      const auto hops = record.path.hops();
-      asns.insert(asns.end(), hops.begin(), hops.end());
-    }
-    interner_ = AsnInterner::from_asns(std::move(asns));
+    obs::StageTimer timer("sanitize");
+    table_ = paths::PathTable::sanitize(raw, config_.sanitizer, result_.audit.sanitize);
+  }
+  {
+    obs::StageTimer timer("index");
+    table_.index_links();
   }
 
   // Step 2: rank.
   {
     obs::StageTimer timer("degree_tally");
-    result_.degrees = Degrees::compute(interner_, sanitized.corpus, config_.threads);
+    result_.degrees = Degrees::compute(table_);
   }
   result_.audit.ranked_ases = result_.degrees.ranked().size();
 
   // Step 3: clique.
+  const topology::AsnInterner& interner = table_.interner();
   {
     obs::StageTimer timer("clique");
-    result_.clique = infer_clique(sanitized.corpus, result_.degrees, config_.clique);
+    result_.clique = infer_clique(table_, result_.degrees, config_.clique);
   }
-  clique_bits_.assign(interner_.size(), false);
-  for (const Asn member : result_.clique) clique_bits_[interner_.id_of(member)] = true;
+  clique_bits_.assign(interner.size(), false);
+  for (const Asn member : result_.clique) clique_bits_[interner.id_of(member)] = true;
   result_.audit.clique_size = result_.clique.size();
 
-  // Step 4: discard poisoned paths.
+  // Step 4: discard poisoned paths (whole records only, so the id space
+  // still covers the survivors).
   {
     obs::StageTimer timer("poisoned_scan");
-    discard_poisoned(sanitized.corpus);
+    discard_poisoned();
   }
 
-  // Translate the surviving corpus and register every observed link and
-  // transit AS.
-  index_paths_and_links();
+  // Transit ASes of the surviving paths, and the working link state.
+  transit_bits_.assign(interner.size(), false);
+  for (std::size_t r = 0; r < table_.size(); ++r) {
+    const auto hops = table_.hops(r);
+    for (std::size_t i = 1; i + 1 < hops.size(); ++i) transit_bits_[hops[i]] = true;
+  }
+  link_state_.assign(table_.link_count(), LinkState{});
 
   // Clique-internal links are p2p by assumption A1.
   for (std::size_t i = 0; i < result_.clique.size(); ++i) {
     for (std::size_t j = i + 1; j < result_.clique.size(); ++j) {
-      const std::uint32_t link = link_index(interner_.id_of(result_.clique[i]),
-                                            interner_.id_of(result_.clique[j]));
+      const std::uint32_t link = table_.link_index(interner.id_of(result_.clique[i]),
+                                                   interner.id_of(result_.clique[j]));
       if (link != kNoLink) link_state_[link].kind = LinkState::Kind::kP2pFixed;
     }
   }
@@ -200,17 +157,16 @@ void Pipeline::run(const PathCorpus& raw) {
                   {"p2c_acyclic", result_.audit.p2c_acyclic}});
 }
 
-void Pipeline::discard_poisoned(const PathCorpus& corpus) {
-  const auto records = corpus.records();
-  // Per-path classification is independent, so it parallelizes; the ordered
-  // append below keeps the surviving corpus in the original record order.
-  std::vector<std::uint8_t> poisoned(records.size(), 0);
+void Pipeline::discard_poisoned() {
+  // Per-path classification is independent, so it parallelizes; retain()
+  // keeps the surviving records in their original order.
+  std::vector<std::uint8_t> keep(table_.size(), 1);
   if (config_.discard_poisoned && !result_.clique.empty()) {
-    pool_.for_each_index(records.size(), [&](std::size_t r) {
-      const auto hops = records[r].path.hops();
+    pool_.for_each_index(table_.size(), [&](std::size_t r) {
+      const auto hops = table_.hops(r);
       std::size_t first = hops.size(), last = 0, count = 0;
       for (std::size_t i = 0; i < hops.size(); ++i) {
-        if (in_clique(interner_.id_of(hops[i]))) {
+        if (in_clique(hops[i])) {
           first = std::min(first, i);
           last = std::max(last, i);
           ++count;
@@ -218,63 +174,20 @@ void Pipeline::discard_poisoned(const PathCorpus& corpus) {
       }
       // Clique hops must form one contiguous segment; a gap means a
       // non-clique AS sits between two tier-1s, the poisoning signature.
-      poisoned[r] = count > 0 && (last - first + 1) != count;
+      keep[r] = count == 0 || (last - first + 1) == count;
     });
   }
-  for (std::size_t r = 0; r < records.size(); ++r) {
-    if (poisoned[r]) {
-      ++result_.audit.poisoned_discarded;
-    } else {
-      result_.sanitized.add(records[r]);
-    }
-  }
-}
-
-void Pipeline::index_paths_and_links() {
-  const auto records = result_.sanitized.records();
-
-  rec_off_.reserve(records.size() + 1);
-  rec_off_.push_back(0);
-  std::vector<NodeId> ids;
-  for (const PathRecord& record : records) {
-    interner_.translate(record.path.hops(), ids);
-    hops_flat_.insert(hops_flat_.end(), ids.begin(), ids.end());
-    rec_off_.push_back(hops_flat_.size());
-  }
-
-  // Link table: sorted unique packed pairs over all adjacent hops.
-  transit_bits_.assign(interner_.size(), false);
-  for (std::size_t r = 0; r < records.size(); ++r) {
-    const auto hops = hops_of(r);
-    for (std::size_t i = 0; i + 1 < hops.size(); ++i) {
-      link_keys_.push_back(pack(hops[i], hops[i + 1]));
-      if (i > 0) transit_bits_[hops[i]] = true;
-    }
-  }
-  std::sort(link_keys_.begin(), link_keys_.end());
-  link_keys_.erase(std::unique(link_keys_.begin(), link_keys_.end()), link_keys_.end());
-  link_state_.assign(link_keys_.size(), LinkState{});
-
-  // Per-hop link indices: the vote and fixpoint loops walk these flat
-  // arrays with zero lookups.
-  link_of_hop_.assign(hops_flat_.size(), kNoLink);
-  pool_.for_each_index(records.size(), [&](std::size_t r) {
-    const auto hops = hops_of(r);
-    for (std::size_t i = 1; i < hops.size(); ++i) {
-      link_of_hop_[rec_off_[r] + i] = link_index(hops[i - 1], hops[i]);
-    }
-  });
-  for (const std::uint32_t link : link_of_hop_) {
-    if (link != kNoLink) ++link_state_[link].observations;
-  }
+  result_.audit.poisoned_discarded =
+      static_cast<std::size_t>(std::count(keep.begin(), keep.end(), 0));
+  if (result_.audit.poisoned_discarded > 0) table_.retain(keep);
+  result_.sanitized = table_.corpus();
 }
 
 void Pipeline::detect_partial_vps() {
-  const auto records = result_.sanitized.records();
-  rec_partial_.assign(records.size(), 0);
+  rec_partial_.assign(table_.size(), 0);
   if (config_.partial_vp_threshold <= 0.0) return;
   std::unordered_map<Asn, std::size_t> table_sizes;
-  for (const PathRecord& record : records) ++table_sizes[record.vp];
+  for (std::size_t r = 0; r < table_.size(); ++r) ++table_sizes[table_.vp(r)];
   std::size_t max_size = 0;
   for (const auto& [vp, size] : table_sizes) max_size = std::max(max_size, size);
   std::unordered_set<Asn> partial;
@@ -284,8 +197,8 @@ void Pipeline::detect_partial_vps() {
       partial.insert(vp);
     }
   }
-  for (std::size_t r = 0; r < records.size(); ++r) {
-    rec_partial_[r] = partial.contains(records[r].vp);
+  for (std::size_t r = 0; r < table_.size(); ++r) {
+    rec_partial_[r] = partial.contains(table_.vp(r));
   }
   result_.audit.partial_vps = partial.size();
 }
@@ -304,8 +217,8 @@ void Pipeline::vote_on_paths() {
   };
 
   auto tally_record = [&](std::size_t r, VoteTally& tally) {
-    const auto hops = hops_of(r);
-    const auto links = links_of(r);
+    const auto hops = table_.hops(r);
+    const auto links = table_.hop_links(r);
     if (hops.size() < 2) return;
 
     auto vote = [&](std::size_t j, NodeId provider, NodeId customer) {
@@ -393,14 +306,14 @@ void Pipeline::vote_on_paths() {
     }
   };
 
-  const std::size_t record_count = rec_off_.size() - 1;
+  const std::size_t record_count = table_.size();
   const VoteTally total = pool_.map_reduce<VoteTally>(
       record_count,
-      VoteTally{std::vector<std::pair<std::uint32_t, std::uint32_t>>(link_keys_.size()),
+      VoteTally{std::vector<std::pair<std::uint32_t, std::uint32_t>>(table_.link_count()),
                 0, 0},
       [&](std::size_t begin, std::size_t end) {
         VoteTally local{
-            std::vector<std::pair<std::uint32_t, std::uint32_t>>(link_keys_.size()), 0, 0};
+            std::vector<std::pair<std::uint32_t, std::uint32_t>>(table_.link_count()), 0, 0};
         for (std::size_t r = begin; r < end; ++r) tally_record(r, local);
         return local;
       },
@@ -413,7 +326,7 @@ void Pipeline::vote_on_paths() {
         acc.deferred += part.deferred;
       });
 
-  for (std::size_t i = 0; i < link_keys_.size(); ++i) {
+  for (std::size_t i = 0; i < table_.link_count(); ++i) {
     link_state_[i].votes_lo_prov += total.votes[i].first;
     link_state_[i].votes_hi_prov += total.votes[i].second;
   }
@@ -423,7 +336,7 @@ void Pipeline::vote_on_paths() {
 
 void Pipeline::commit_votes() {
   const Degrees& degrees = result_.degrees;
-  for (std::size_t i = 0; i < link_keys_.size(); ++i) {
+  for (std::size_t i = 0; i < table_.link_count(); ++i) {
     LinkState& state = link_state_[i];
     if (state.kind != LinkState::Kind::kUnknown) continue;
     if (state.votes_lo_prov == 0 && state.votes_hi_prov == 0) continue;
@@ -448,7 +361,7 @@ void Pipeline::commit_votes() {
       state.kind = LinkState::Kind::kC2pHiProv;
     } else {
       // Tie: the higher-ranked side is the provider.
-      state.kind = degrees.rank_of(lo_of(link_keys_[i])) < degrees.rank_of(hi_of(link_keys_[i]))
+      state.kind = degrees.rank_of(table_.link_lo(i)) < degrees.rank_of(table_.link_hi(i))
                        ? LinkState::Kind::kC2pLoProv
                        : LinkState::Kind::kC2pHiProv;
     }
@@ -467,15 +380,15 @@ void Pipeline::triplet_fixpoint() {
   //             every later link must descend (left side provides);
   //   backward: before a known p2p link or a known ascent, every earlier
   //             link must ascend (right side provides).
-  const std::size_t record_count = rec_off_.size() - 1;
+  const std::size_t record_count = table_.size();
   bool changed = true;
   std::size_t iterations = 0;
   while (changed && iterations < 16) {
     changed = false;
     ++iterations;
     for (std::size_t r = 0; r < record_count; ++r) {
-      const auto hops = hops_of(r);
-      const auto links = links_of(r);
+      const auto hops = table_.hops(r);
+      const auto links = table_.hop_links(r);
       if (hops.size() < 2) continue;
 
       auto classify = [&](std::size_t j) {
@@ -536,18 +449,18 @@ void Pipeline::triplet_fixpoint() {
 
 void Pipeline::repair_provider_less() {
   const Degrees& degrees = result_.degrees;
-  const std::size_t n = interner_.size();
+  const std::size_t n = table_.interner().size();
   // Collect current provider existence and per-AS unknown-link neighbours.
   std::vector<bool> has_provider(n, false);
   std::vector<std::vector<std::pair<NodeId, std::uint32_t>>> unknown_neighbors(n);
-  for (std::size_t i = 0; i < link_keys_.size(); ++i) {
-    const NodeId lo = lo_of(link_keys_[i]), hi = hi_of(link_keys_[i]);
+  for (std::size_t i = 0; i < table_.link_count(); ++i) {
+    const NodeId lo = table_.link_lo(i), hi = table_.link_hi(i);
     switch (link_state_[i].kind) {
       case LinkState::Kind::kC2pLoProv: has_provider[hi] = true; break;
       case LinkState::Kind::kC2pHiProv: has_provider[lo] = true; break;
       case LinkState::Kind::kUnknown:
-        unknown_neighbors[lo].emplace_back(hi, link_state_[i].observations);
-        unknown_neighbors[hi].emplace_back(lo, link_state_[i].observations);
+        unknown_neighbors[lo].emplace_back(hi, table_.observations(i));
+        unknown_neighbors[hi].emplace_back(lo, table_.observations(i));
         break;
       case LinkState::Kind::kP2pFixed:
       case LinkState::Kind::kS2S:
@@ -571,7 +484,7 @@ void Pipeline::repair_provider_less() {
       }
     }
     if (best == kNoNode) continue;
-    const std::uint32_t link = link_index(best, as);
+    const std::uint32_t link = table_.link_index(best, as);
     if (link_state_[link].kind == LinkState::Kind::kUnknown) {
       set_c2p(link, best, as);
       ++result_.audit.providerless_repaired;
@@ -580,9 +493,9 @@ void Pipeline::repair_provider_less() {
 }
 
 void Pipeline::stub_clique_pass() {
-  for (std::size_t i = 0; i < link_keys_.size(); ++i) {
+  for (std::size_t i = 0; i < table_.link_count(); ++i) {
     if (link_state_[i].kind != LinkState::Kind::kUnknown) continue;
-    const NodeId lo = lo_of(link_keys_[i]), hi = hi_of(link_keys_[i]);
+    const NodeId lo = table_.link_lo(i), hi = table_.link_hi(i);
     const bool lo_clique = in_clique(lo), hi_clique = in_clique(hi);
     if (lo_clique == hi_clique) continue;
     const NodeId member = lo_clique ? lo : hi;
@@ -601,8 +514,8 @@ void Pipeline::enforce_transit_free_clique() {
   // for links seen from few VPs), and it is catastrophic if left standing:
   // the false "provider" captures the member's entire customer cone and
   // rockets up the ranking.  Re-orient such links toward the member.
-  for (std::size_t i = 0; i < link_keys_.size(); ++i) {
-    const NodeId lo = lo_of(link_keys_[i]), hi = hi_of(link_keys_[i]);
+  for (std::size_t i = 0; i < table_.link_count(); ++i) {
+    const NodeId lo = table_.link_lo(i), hi = table_.link_hi(i);
     NodeId provider = kNoNode, customer = kNoNode;
     if (link_state_[i].kind == LinkState::Kind::kC2pLoProv) {
       provider = lo;
@@ -621,9 +534,9 @@ void Pipeline::enforce_transit_free_clique() {
 }
 
 void Pipeline::finalize_graph() {
-  for (std::size_t i = 0; i < link_keys_.size(); ++i) {
-    const Asn lo = interner_.asn_of(lo_of(link_keys_[i]));
-    const Asn hi = interner_.asn_of(hi_of(link_keys_[i]));
+  for (std::size_t i = 0; i < table_.link_count(); ++i) {
+    const Asn lo = table_.interner().asn_of(table_.link_lo(i));
+    const Asn hi = table_.interner().asn_of(table_.link_hi(i));
     switch (link_state_[i].kind) {
       case LinkState::Kind::kC2pLoProv:
         result_.graph.add_p2c(lo, hi);

@@ -8,7 +8,8 @@
 // (see the mismatch note in DESIGN.md), the reconstruction is flagged in
 // comments and exposed as configuration so experiments can ablate it:
 //
-//   1.  Sanitize paths (paths::sanitize).
+//   1.  Sanitize paths straight into the interned path table
+//       (paths::PathTable), which every later path-tally stage reads.
 //   2.  Rank ASes by transit degree (core::Degrees).
 //   3.  Infer the top clique (core::infer_clique, Bron–Kerbosch).
 //   4.  Discard poisoned paths: a path whose clique members do not form one
@@ -57,12 +58,14 @@ struct InferenceConfig {
   paths::SanitizerConfig sanitizer;
   CliqueConfig clique;
 
-  /// Worker threads for the data-parallel stages (poisoned-path scan,
+  /// Worker threads for the two data-parallel stages (poisoned-path scan,
   /// positional voting).  0 = std::thread::hardware_concurrency(); 1 runs
-  /// the exact sequential legacy path.  Results are bit-identical at any
-  /// count: parallel stages use static chunking with ordered reductions
-  /// (util::ThreadPool), and order-sensitive stages (the valley-free
-  /// fixpoint, repairs) always run sequentially.
+  /// everything on the calling thread.  Results are bit-identical at any
+  /// count: those stages use static chunking with ordered reductions
+  /// (util::ThreadPool).  Sanitize, the path-table index, degrees and the
+  /// clique are single linear passes over the interned path table, and
+  /// order-sensitive stages (the valley-free fixpoint, repairs) run
+  /// sequentially by design.
   std::size_t threads = 0;
 
   /// Step 4: drop paths whose clique hops are non-contiguous.

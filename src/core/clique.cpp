@@ -14,56 +14,6 @@ constexpr std::uint64_t pack(NodeId a, NodeId b) noexcept {
   return static_cast<std::uint64_t>(a) << 32 | b;
 }
 
-}  // namespace
-
-ObservedAdjacency ObservedAdjacency::build(const AsnInterner& interner,
-                                           const paths::PathCorpus& corpus) {
-  std::vector<std::uint64_t> pairs;
-  std::vector<NodeId> ids;
-  for (const paths::PathRecord& record : corpus.records()) {
-    interner.translate(record.path.hops(), ids);
-    for (std::size_t i = 0; i + 1 < ids.size(); ++i) {
-      if (ids[i] == ids[i + 1]) continue;  // prepending repeat
-      if (ids[i] == kNoNode || ids[i + 1] == kNoNode) continue;
-      pairs.push_back(pack(ids[i], ids[i + 1]));
-      pairs.push_back(pack(ids[i + 1], ids[i]));
-    }
-  }
-  std::sort(pairs.begin(), pairs.end());
-  pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
-
-  ObservedAdjacency adjacency;
-  const std::size_t n = interner.size();
-  adjacency.offsets_.assign(n + 1, 0);
-  adjacency.neighbors_.resize(pairs.size());
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
-    ++adjacency.offsets_[(pairs[i] >> 32) + 1];
-    adjacency.neighbors_[i] = static_cast<NodeId>(pairs[i]);
-  }
-  for (std::size_t i = 0; i < n; ++i) adjacency.offsets_[i + 1] += adjacency.offsets_[i];
-  return adjacency;
-}
-
-bool ObservedAdjacency::adjacent(NodeId a, NodeId b) const noexcept {
-  const auto row = neighbors(a);
-  return std::binary_search(row.begin(), row.end(), b);
-}
-
-AdjacencySet build_adjacency(const paths::PathCorpus& corpus) {
-  AdjacencySet adjacency;
-  for (const paths::PathRecord& record : corpus.records()) {
-    const auto hops = record.path.hops();
-    for (std::size_t i = 0; i + 1 < hops.size(); ++i) {
-      if (hops[i] == hops[i + 1]) continue;
-      adjacency[hops[i]].insert(hops[i + 1]);
-      adjacency[hops[i + 1]].insert(hops[i]);
-    }
-  }
-  return adjacency;
-}
-
-namespace {
-
 /// Bron–Kerbosch with pivoting over a dense index adjacency matrix.  Emits
 /// each maximal clique as a sorted list of vertex indices.
 void bron_kerbosch(const std::vector<std::vector<bool>>& adj, std::vector<std::size_t>& r,
@@ -112,124 +62,131 @@ void bron_kerbosch(const std::vector<std::vector<bool>>& adj, std::vector<std::s
   }
 }
 
-std::vector<std::vector<std::size_t>> index_cliques(const std::vector<std::vector<bool>>& adj) {
-  std::vector<std::size_t> p(adj.size());
-  for (std::size_t i = 0; i < adj.size(); ++i) p[i] = i;
-  std::vector<std::size_t> r;
-  std::vector<std::vector<std::size_t>> out;
-  bron_kerbosch(adj, r, std::move(p), {}, out);
-  return out;
+}  // namespace
+
+ObservedAdjacency ObservedAdjacency::build(const paths::PathTable& table) {
+  // Links are sorted by (lo, hi), so row x receives its lower neighbours
+  // (from links (l, x)) before its higher ones (from links (x, h)), each in
+  // ascending order: rows come out sorted without a sort.
+  ObservedAdjacency adjacency;
+  const std::size_t n = table.interner().size();
+  adjacency.offsets_.assign(n + 1, 0);
+  for (std::size_t i = 0; i < table.link_count(); ++i) {
+    if (table.link_lo(i) == table.link_hi(i)) continue;  // prepending repeat
+    ++adjacency.offsets_[table.link_lo(i) + 1];
+    ++adjacency.offsets_[table.link_hi(i) + 1];
+  }
+  for (std::size_t i = 0; i < n; ++i) adjacency.offsets_[i + 1] += adjacency.offsets_[i];
+  adjacency.neighbors_.resize(adjacency.offsets_[n]);
+  std::vector<std::uint64_t> cursor(adjacency.offsets_.begin(), adjacency.offsets_.end() - 1);
+  for (std::size_t i = 0; i < table.link_count(); ++i) {
+    const NodeId lo = table.link_lo(i), hi = table.link_hi(i);
+    if (lo == hi) continue;
+    adjacency.neighbors_[cursor[lo]++] = hi;
+    adjacency.neighbors_[cursor[hi]++] = lo;
+  }
+  return adjacency;
 }
 
-/// Maximal cliques of the sub-graph induced by `seed`, as sorted NodeId
-/// lists.  Sorted ids translate to sorted ASNs (interner order-preservation),
-/// so clique comparison below matches the legacy ASN-lexicographic order.
-std::vector<std::vector<NodeId>> seed_cliques(const ObservedAdjacency& adjacency,
-                                              const std::vector<NodeId>& seed) {
-  const std::size_t n = seed.size();
+ObservedAdjacency ObservedAdjacency::build(const AsnInterner& interner,
+                                           const paths::PathCorpus& corpus) {
+  auto table = paths::PathTable::intern(corpus, interner);
+  table.index_links();
+  return build(table);
+}
+
+bool ObservedAdjacency::adjacent(NodeId a, NodeId b) const noexcept {
+  const auto row = neighbors(a);
+  return std::binary_search(row.begin(), row.end(), b);
+}
+
+std::vector<std::vector<NodeId>> maximal_cliques(const ObservedAdjacency& adjacency,
+                                                 const std::vector<NodeId>& vertices) {
+  const std::size_t n = vertices.size();
   std::vector<std::vector<bool>> adj(n, std::vector<bool>(n, false));
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = i + 1; j < n; ++j) {
-      if (adjacency.adjacent(seed[i], seed[j])) adj[i][j] = adj[j][i] = true;
+      if (adjacency.adjacent(vertices[i], vertices[j])) adj[i][j] = adj[j][i] = true;
     }
   }
+  std::vector<std::size_t> p(n);
+  for (std::size_t i = 0; i < n; ++i) p[i] = i;
+  std::vector<std::size_t> r;
+  std::vector<std::vector<std::size_t>> indices;
+  bron_kerbosch(adj, r, std::move(p), {}, indices);
+
   std::vector<std::vector<NodeId>> out;
-  for (const auto& indices : index_cliques(adj)) {
+  for (const auto& clique_indices : indices) {
     std::vector<NodeId> clique;
-    clique.reserve(indices.size());
-    for (const std::size_t i : indices) clique.push_back(seed[i]);
+    clique.reserve(clique_indices.size());
+    for (const std::size_t i : clique_indices) clique.push_back(vertices[i]);
     std::sort(clique.begin(), clique.end());
     out.push_back(std::move(clique));
   }
   return out;
 }
 
-/// Customer evidence relative to a candidate member set: an AS observed
-/// directly after two consecutive members (either path direction) must buy
-/// transit from a member — the member-member link is p2p, so the next link
-/// can only be p2c.  An AS *sandwiched between* two members must buy from at
-/// least one (two consecutive p2p links would violate valley-freeness);
-/// this also neutralizes path poisoning that inserts a victim between two
-/// tier-1s.  The sandwich rule applies to members themselves: a "member"
-/// seen between two genuine members is a customer that slipped in.
-///
-/// Returns per-node distinct-witness counts: evidence is recorded per
-/// distinct origin AS — a single origin poisoning its announcements
-/// (inserting a real tier-1 ASN) taints every path toward itself but no path
-/// toward anyone else, so callers can demand independent witnesses where
-/// robustness matters.  Counting runs over sorted (flagged, origin) id pairs;
-/// origins outside the interner share the kNoNode id (still one distinct
-/// witness, as in the legacy hash-set tally).
-std::vector<std::uint32_t> customer_evidence(const paths::PathCorpus& corpus,
-                                             const AsnInterner& interner,
+std::vector<std::uint32_t> customer_evidence(const paths::PathTable& table,
                                              const std::vector<NodeId>& members) {
-  std::vector<bool> member(interner.size(), false);
-  for (const NodeId m : members) member[m] = true;
-  const auto in = [&](NodeId id) { return id != kNoNode && member[id]; };
+  const std::size_t n = table.interner().size();
+  std::vector<std::uint8_t> member(n, 0);
+  for (const NodeId m : members) member[m] = 1;
+  const auto in = [&](NodeId id) { return id != kNoNode && member[id] != 0; };
 
+  // (flagged, origin) witness pairs, with repeats.
   std::vector<std::uint64_t> pairs;
-  std::vector<NodeId> ids;
-  for (const paths::PathRecord& record : corpus.records()) {
-    const auto hops = record.path.hops();
-    if (hops.size() < 3) continue;
-    interner.translate(hops, ids);
+  const auto witness = [&](NodeId flagged, NodeId origin) {
+    pairs.push_back(pack(flagged, origin));
+  };
+  for (std::size_t r = 0; r < table.size(); ++r) {
+    const auto ids = table.hops(r);
+    if (ids.size() < 3) continue;
     const NodeId origin = ids.back();
+    bool first_in = in(ids[0]), mid_in = in(ids[1]);
     for (std::size_t i = 0; i + 2 < ids.size(); ++i) {
-      const bool first_in = in(ids[i]);
-      const bool mid_in = in(ids[i + 1]);
       const bool last_in = in(ids[i + 2]);
-      if (first_in && mid_in && !last_in && ids[i + 2] != kNoNode) {
-        pairs.push_back(pack(ids[i + 2], origin));
-      }
-      if (mid_in && last_in && !first_in && ids[i] != kNoNode) {
-        pairs.push_back(pack(ids[i], origin));
-      }
-      if (first_in && last_in && ids[i + 1] != kNoNode) {
-        pairs.push_back(pack(ids[i + 1], origin));  // sandwich
-      }
+      if (first_in && mid_in && !last_in && ids[i + 2] != kNoNode) witness(ids[i + 2], origin);
+      if (mid_in && last_in && !first_in && ids[i] != kNoNode) witness(ids[i], origin);
+      if (first_in && last_in && ids[i + 1] != kNoNode) witness(ids[i + 1], origin);  // sandwich
+      first_in = mid_in;
+      mid_in = last_in;
     }
   }
-  std::sort(pairs.begin(), pairs.end());
-  pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
-
-  std::vector<std::uint32_t> witnesses(interner.size(), 0);
-  for (const std::uint64_t p : pairs) ++witnesses[p >> 32];
+  // Distinct origins per flagged node, in O(pairs + n): bucket the origins
+  // by flagged node, then stamp each origin once per bucket (kNoNode origins
+  // share the extra stamp slot n).
+  std::vector<std::uint32_t> end(n + 1, 0);
+  for (const std::uint64_t p : pairs) ++end[(p >> 32) + 1];
+  for (std::size_t i = 0; i < n; ++i) end[i + 1] += end[i];
+  std::vector<NodeId> origins(pairs.size());
+  for (const std::uint64_t p : pairs) origins[end[p >> 32]++] = static_cast<NodeId>(p);
+  std::vector<std::uint32_t> witnesses(n, 0);
+  std::vector<std::uint32_t> stamp(n + 1, 0);
+  for (NodeId flagged = 0, k = 0; flagged < n; ++flagged) {
+    for (; k < end[flagged]; ++k) {
+      const std::size_t origin = origins[k] == kNoNode ? n : origins[k];
+      if (stamp[origin] == flagged + 1) continue;
+      stamp[origin] = flagged + 1;
+      ++witnesses[flagged];
+    }
+  }
   return witnesses;
 }
 
-}  // namespace
-
-std::vector<std::vector<Asn>> maximal_cliques(const AdjacencySet& adjacency,
-                                              const std::vector<Asn>& vertices) {
-  const std::size_t n = vertices.size();
-  const auto adjacent = [&](Asn a, Asn b) {
-    const auto it = adjacency.find(a);
-    return it != adjacency.end() && it->second.contains(b);
-  };
-  std::vector<std::vector<bool>> adj(n, std::vector<bool>(n, false));
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j) {
-      if (adjacent(vertices[i], vertices[j])) adj[i][j] = adj[j][i] = true;
-    }
-  }
-  std::vector<std::vector<Asn>> out;
-  for (const auto& indices : index_cliques(adj)) {
-    std::vector<Asn> clique;
-    clique.reserve(indices.size());
-    for (const std::size_t i : indices) clique.push_back(vertices[i]);
-    std::sort(clique.begin(), clique.end());
-    out.push_back(std::move(clique));
-  }
-  return out;
+std::vector<Asn> infer_clique(const paths::PathCorpus& corpus, const Degrees& degrees,
+                              const CliqueConfig& config) {
+  auto table = paths::PathTable::intern(corpus, degrees.interner());
+  table.index_links();
+  return infer_clique(table, degrees, config);
 }
 
-std::vector<Asn> infer_clique(const paths::PathCorpus& corpus, const Degrees& degrees,
+std::vector<Asn> infer_clique(const paths::PathTable& table, const Degrees& degrees,
                               const CliqueConfig& config) {
   const auto& ranked = degrees.ranked();
   if (ranked.empty()) return {};
   const AsnInterner& interner = degrees.interner();
   const std::size_t n = interner.size();
-  const ObservedAdjacency adjacency = ObservedAdjacency::build(interner, corpus);
+  const ObservedAdjacency adjacency = ObservedAdjacency::build(table);
 
   // Ranked ASes all carry node degree > 0, so they are always interned.
   std::vector<NodeId> ranked_ids;
@@ -259,7 +216,7 @@ std::vector<Asn> infer_clique(const paths::PathCorpus& corpus, const Degrees& de
     // sparse vantage-point coverage; the customer-evidence iteration below
     // ejects intruders either way.
     best.clear();
-    for (auto& clique : seed_cliques(adjacency, seed)) {
+    for (auto& clique : maximal_cliques(adjacency, seed)) {
       if (clique.size() > best.size() || (clique.size() == best.size() && clique < best)) {
         best = std::move(clique);
       }
@@ -269,7 +226,7 @@ std::vector<Asn> infer_clique(const paths::PathCorpus& corpus, const Degrees& de
 
     // Ejecting an established member requires independent witnesses (a lone
     // poisoning origin must not be able to evict true tier-1s).
-    const auto evidence = customer_evidence(corpus, interner, best);
+    const auto evidence = customer_evidence(table, best);
     std::size_t ejected = 0;
     for (const NodeId member : best) {
       if (evidence[member] >= config.customer_evidence_min_origins) {
@@ -285,7 +242,7 @@ std::vector<Asn> infer_clique(const paths::PathCorpus& corpus, const Degrees& de
   // out of the clique.
   std::vector<bool> below = banned;
   if (config.reject_customer_evidence) {
-    const auto evidence = customer_evidence(corpus, interner, best);
+    const auto evidence = customer_evidence(table, best);
     for (NodeId id = 0; id < n; ++id) {
       if (evidence[id] > 0) below[id] = true;
     }

@@ -6,21 +6,20 @@
 // clique containing the top-ranked AS, then considers further ASes in rank
 // order, admitting each that is observed adjacent to every current member.
 //
-// The inference runs on the dense NodeId space carried by the Degrees
-// ranking: observed adjacency is a CSR over node ids (ObservedAdjacency),
-// membership and ban sets are bitmaps, and customer-evidence witnesses are
-// counted via sorted pair lists — no hashing in the per-path loops.
+// The inference reads the pipeline's paths::PathTable: observed adjacency is
+// the CSR of the table's link table (ObservedAdjacency), the customer-evidence
+// scan walks the table's hop-id arrays, and membership and ban sets are
+// bitmaps over the same dense NodeId space — no translation, no hashing.
 #pragma once
 
 #include <cstddef>
 #include <span>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "asn/asn.h"
 #include "core/degrees.h"
 #include "paths/corpus.h"
+#include "paths/path_table.h"
 #include "topology/interner.h"
 
 namespace asrank::core {
@@ -56,12 +55,14 @@ struct CliqueConfig {
 
 /// Undirected adjacency restricted to links observed in paths, keyed by
 /// dense node id (CSR, rows sorted).  The hot representation behind
-/// infer_clique; also reusable by benchmarks and diagnostics.
+/// infer_clique; also reusable by benchmarks and baselines.
 class ObservedAdjacency {
  public:
+  /// The CSR of an indexed table's link table (self-links skipped).
+  [[nodiscard]] static ObservedAdjacency build(const paths::PathTable& table);
+
   /// Build from a sanitized corpus; hops missing from `interner` are
-  /// ignored.  Deterministic: rows come out of a global sort over packed
-  /// (node, neighbour) pairs.
+  /// ignored.
   [[nodiscard]] static ObservedAdjacency build(const topology::AsnInterner& interner,
                                                const paths::PathCorpus& corpus);
 
@@ -80,22 +81,34 @@ class ObservedAdjacency {
   std::vector<topology::NodeId> neighbors_;   // rows sorted ascending
 };
 
-/// Undirected adjacency as nested hash sets.  Legacy representation kept for
-/// hand-built test fixtures and small ad-hoc queries; the inference itself
-/// uses ObservedAdjacency.
-using AdjacencySet = std::unordered_map<Asn, std::unordered_set<Asn>>;
+/// All maximal cliques of the sub-graph induced by `vertices` (Bron–Kerbosch
+/// with pivoting), each as a sorted id list.  Intended for small vertex sets.
+[[nodiscard]] std::vector<std::vector<topology::NodeId>> maximal_cliques(
+    const ObservedAdjacency& adjacency, const std::vector<topology::NodeId>& vertices);
 
-/// Build observed adjacency from a sanitized corpus.
-[[nodiscard]] AdjacencySet build_adjacency(const paths::PathCorpus& corpus);
+/// Customer evidence relative to a candidate member set, as per-node counts
+/// of distinct witnessing origins over the table's paths.  An AS observed
+/// directly after two consecutive members (either path direction) must buy
+/// transit from a member — the member-member link is p2p, so the next link
+/// can only be p2c.  An AS *sandwiched between* two members must buy from at
+/// least one (two consecutive p2p links would violate valley-freeness); this
+/// also neutralizes path poisoning that inserts a victim between two
+/// tier-1s, and applies to members themselves.  Evidence is recorded per
+/// distinct origin AS: a single origin poisoning its announcements taints
+/// every path toward itself but no path toward anyone else, so callers can
+/// demand independent witnesses.  Origins outside the interner share the
+/// kNoNode id (one distinct witness).
+[[nodiscard]] std::vector<std::uint32_t> customer_evidence(
+    const paths::PathTable& table, const std::vector<topology::NodeId>& members);
 
-/// All maximal cliques of the sub-graph induced by `vertices`
-/// (Bron–Kerbosch with pivoting).  Intended for small vertex sets.
-[[nodiscard]] std::vector<std::vector<Asn>> maximal_cliques(const AdjacencySet& adjacency,
-                                                            const std::vector<Asn>& vertices);
+/// Infer the top clique.  Returns members sorted ascending.  `table` must be
+/// indexed and share the id space of `degrees.interner()` (as when the
+/// degrees were computed from it — the pipeline's invariant).
+[[nodiscard]] std::vector<Asn> infer_clique(const paths::PathTable& table,
+                                            const Degrees& degrees,
+                                            const CliqueConfig& config);
 
-/// Infer the top clique.  Returns members sorted ascending.  Runs on the id
-/// space of `degrees.interner()`, which covers every corpus AS when the
-/// degrees were computed from the same corpus (the pipeline's invariant).
+/// Same, interning `corpus` on the id space of `degrees.interner()`.
 [[nodiscard]] std::vector<Asn> infer_clique(const paths::PathCorpus& corpus,
                                             const Degrees& degrees,
                                             const CliqueConfig& config);

@@ -1,90 +1,31 @@
 #include "core/degrees.h"
 
 #include <algorithm>
-#include <utility>
-
-#include "util/thread_pool.h"
 
 namespace asrank::core {
 
-namespace {
-
-using topology::AsnInterner;
 using topology::kNoNode;
 using topology::NodeId;
 
-constexpr std::uint64_t pack(NodeId node, NodeId neighbor) noexcept {
-  return static_cast<std::uint64_t>(node) << 32 | neighbor;
+Degrees Degrees::compute(const paths::PathCorpus& corpus, std::size_t /*threads*/) {
+  auto table = paths::PathTable::intern(corpus);
+  table.index_links();
+  return compute(table);
 }
 
-/// Per-chunk packed (node, neighbour) id pairs.  Chunks merge by
-/// concatenation; the final global sort+unique erases chunk order, so the
-/// distinct-neighbour counts are thread-count invariant.
-struct PairLists {
-  std::vector<std::uint64_t> all;
-  std::vector<std::uint64_t> transit;
-};
-
-void count_rows(std::vector<std::uint64_t>& pairs, std::vector<std::uint32_t>& deg) {
-  std::sort(pairs.begin(), pairs.end());
-  pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
-  for (const std::uint64_t p : pairs) ++deg[p >> 32];
-}
-
-}  // namespace
-
-Degrees Degrees::compute(const paths::PathCorpus& corpus, std::size_t threads) {
-  std::vector<Asn> asns;
-  for (const paths::PathRecord& record : corpus.records()) {
-    const auto hops = record.path.hops();
-    asns.insert(asns.end(), hops.begin(), hops.end());
-  }
-  return compute(AsnInterner::from_asns(std::move(asns)), corpus, threads);
-}
-
-Degrees Degrees::compute(topology::AsnInterner interner, const paths::PathCorpus& corpus,
-                         std::size_t threads) {
+Degrees Degrees::compute(const paths::PathTable& table) {
   Degrees degrees;
-  util::ThreadPool pool(threads);
-  const auto records = corpus.records();
-  const std::size_t n = interner.size();
-
-  PairLists pairs = pool.map_reduce<PairLists>(
-      records.size(), PairLists{},
-      [&](std::size_t begin, std::size_t end) {
-        PairLists local;
-        std::vector<NodeId> ids;
-        for (std::size_t r = begin; r < end; ++r) {
-          // Degrees are defined over prepending-free paths; compress
-          // defensively in case the corpus was not sanitized.
-          const paths::PathRecord& record = records[r];
-          const AsPath compressed = record.path.has_prepending()
-                                        ? record.path.compress_prepending()
-                                        : record.path;
-          interner.translate(compressed.hops(), ids);
-          for (std::size_t i = 0; i < ids.size(); ++i) {
-            if (ids[i] == kNoNode) continue;
-            if (i > 0 && ids[i - 1] != kNoNode) {
-              local.all.push_back(pack(ids[i], ids[i - 1]));
-              local.all.push_back(pack(ids[i - 1], ids[i]));
-            }
-            if (i > 0 && i + 1 < ids.size()) {
-              if (ids[i - 1] != kNoNode) local.transit.push_back(pack(ids[i], ids[i - 1]));
-              if (ids[i + 1] != kNoNode) local.transit.push_back(pack(ids[i], ids[i + 1]));
-            }
-          }
-        }
-        return local;
-      },
-      [](PairLists& acc, PairLists&& part) {
-        acc.all.insert(acc.all.end(), part.all.begin(), part.all.end());
-        acc.transit.insert(acc.transit.end(), part.transit.begin(), part.transit.end());
-      });
-
+  const std::size_t n = table.interner().size();
   degrees.node_deg_.assign(n, 0);
   degrees.transit_deg_.assign(n, 0);
-  count_rows(pairs.all, degrees.node_deg_);
-  count_rows(pairs.transit, degrees.transit_deg_);
+  for (std::size_t i = 0; i < table.link_count(); ++i) {
+    const NodeId lo = table.link_lo(i), hi = table.link_hi(i);
+    if (lo == hi) continue;  // prepending repeat, not a neighbour
+    ++degrees.node_deg_[lo];
+    ++degrees.node_deg_[hi];
+    if (table.lo_transits(i)) ++degrees.transit_deg_[lo];
+    if (table.hi_transits(i)) ++degrees.transit_deg_[hi];
+  }
 
   // Rank every AS observed next to another (node degree > 0); ids ascend in
   // ASN order, so the id tie-break below *is* the lower-ASN tie-break.
@@ -106,9 +47,9 @@ Degrees Degrees::compute(topology::AsnInterner interner, const paths::PathCorpus
   degrees.ranked_.reserve(order.size());
   for (std::size_t i = 0; i < order.size(); ++i) {
     degrees.rank_[order[i]] = i;
-    degrees.ranked_.push_back(interner.asn_of(order[i]));
+    degrees.ranked_.push_back(table.interner().asn_of(order[i]));
   }
-  degrees.interner_ = std::move(interner);
+  degrees.interner_ = table.interner();
   return degrees;
 }
 

@@ -6,10 +6,10 @@
 // (distinct neighbours anywhere) breaks ties, and lower ASN breaks the rest,
 // making the ranking a deterministic total order.
 //
-// Internally the tally runs on the dense NodeId space of a
-// topology::AsnInterner built over the corpus: distinct-neighbour counting is
-// a sort+unique over packed (node, neighbour) id pairs and per-AS lookups are
-// array reads, with no hashing on the hot path.
+// The tally is one linear pass over the link table of a paths::PathTable:
+// node degree counts an AS's distinct (non-self) links, transit degree the
+// links it transits over.  Per-AS lookups are array reads on the table's
+// dense NodeId space.
 #pragma once
 
 #include <cstddef>
@@ -17,23 +17,21 @@
 
 #include "asn/asn.h"
 #include "paths/corpus.h"
+#include "paths/path_table.h"
 #include "topology/interner.h"
 
 namespace asrank::core {
 
 class Degrees {
  public:
-  /// Compute degrees from sanitized paths.  `threads`: 1 = sequential legacy
-  /// path (default), 0 = all hardware threads; the per-chunk pair lists are
-  /// merged and globally sorted, so results are identical at any worker
-  /// count.  Builds its own interner over the corpus hops.
-  [[nodiscard]] static Degrees compute(const paths::PathCorpus& corpus,
-                                       std::size_t threads = 1);
+  /// Degrees over an indexed path table (PathTable::index_links), on the
+  /// table's id space.  The pipeline's entry point.
+  [[nodiscard]] static Degrees compute(const paths::PathTable& table);
 
-  /// Same, on a caller-supplied interner that must cover every corpus hop
-  /// (the pipeline shares one interner across all stages).
-  [[nodiscard]] static Degrees compute(topology::AsnInterner interner,
-                                       const paths::PathCorpus& corpus,
+  /// Compute degrees from sanitized paths: interns the corpus over its own
+  /// hops and tallies its table.  `threads` is accepted for source
+  /// compatibility and ignored: the tally is one sequential linear pass.
+  [[nodiscard]] static Degrees compute(const paths::PathCorpus& corpus,
                                        std::size_t threads = 1);
 
   [[nodiscard]] std::size_t transit_degree(Asn as) const noexcept;

@@ -1,64 +1,41 @@
 #include "core/visibility.h"
 
-#include <unordered_set>
+#include <algorithm>
 #include <utility>
 
-#include "util/thread_pool.h"
+#include "paths/path_table.h"
 
 namespace asrank::core {
 
-namespace {
-
-/// Per-chunk tally.  Counters add and VP sets union — both commutative — so
-/// the ordered chunk reduction is thread-count invariant.
-struct VisibilityTally {
-  std::unordered_map<std::uint64_t, LinkVisibility> links;
-  std::unordered_map<std::uint64_t, std::unordered_set<Asn>> vps;
-};
-
-}  // namespace
-
 std::unordered_map<std::uint64_t, LinkVisibility> link_visibility(
-    const paths::PathCorpus& corpus, std::size_t threads) {
-  util::ThreadPool pool(threads);
-  const auto records = corpus.records();
+    const paths::PathCorpus& corpus, std::size_t /*threads*/) {
+  auto table = paths::PathTable::intern(corpus);
+  table.index_links();
+  std::vector<LinkVisibility> links(table.link_count());
+  std::vector<std::uint64_t> link_vps;  // (link, vp) per crossing
+  for (std::size_t r = 0; r < table.size(); ++r) {
+    const auto hops = table.hops(r);
+    const auto hop_links = table.hop_links(r);
+    for (std::size_t j = 1; j < hops.size(); ++j) {
+      if (hops[j - 1] == hops[j] || hop_links[j] == paths::kNoLink) continue;
+      LinkVisibility& link = links[hop_links[j]];
+      ++link.observations;
+      ++(j > 1 && j + 1 < hops.size() ? link.transit_positions : link.edge_positions);
+      link_vps.push_back(static_cast<std::uint64_t>(hop_links[j]) << 32 | table.vp(r).value());
+    }
+  }
+  std::sort(link_vps.begin(), link_vps.end());
+  link_vps.erase(std::unique(link_vps.begin(), link_vps.end()), link_vps.end());
+  for (const std::uint64_t pair : link_vps) ++links[pair >> 32].vp_count;
 
-  VisibilityTally tally = pool.map_reduce<VisibilityTally>(
-      records.size(), VisibilityTally{},
-      [&](std::size_t begin, std::size_t end) {
-        VisibilityTally local;
-        for (std::size_t r = begin; r < end; ++r) {
-          const paths::PathRecord& record = records[r];
-          const auto hops = record.path.hops();
-          for (std::size_t i = 0; i + 1 < hops.size(); ++i) {
-            if (hops[i] == hops[i + 1]) continue;
-            const std::uint64_t key = paths::PathCorpus::key(hops[i], hops[i + 1]);
-            LinkVisibility& link = local.links[key];
-            ++link.observations;
-            if (i > 0 && i + 2 < hops.size()) {
-              ++link.transit_positions;
-            } else {
-              ++link.edge_positions;
-            }
-            local.vps[key].insert(record.vp);
-          }
-        }
-        return local;
-      },
-      [](VisibilityTally& acc, VisibilityTally&& part) {
-        for (auto& [key, link] : part.links) {
-          LinkVisibility& merged = acc.links[key];
-          merged.observations += link.observations;
-          merged.transit_positions += link.transit_positions;
-          merged.edge_positions += link.edge_positions;
-        }
-        for (auto& [key, vps] : part.vps) {
-          acc.vps[key].insert(vps.begin(), vps.end());
-        }
-      });
-
-  for (auto& [key, link] : tally.links) link.vp_count = tally.vps.at(key).size();
-  return tally.links;
+  std::unordered_map<std::uint64_t, LinkVisibility> out;
+  for (std::size_t i = 0; i < links.size(); ++i) {
+    if (links[i].observations == 0) continue;  // a prepending self-link
+    out.emplace(paths::PathCorpus::key(table.interner().asn_of(table.link_lo(i)),
+                                       table.interner().asn_of(table.link_hi(i))),
+                links[i]);
+  }
+  return out;
 }
 
 VisibilityCcdf visibility_ccdf(

@@ -28,9 +28,9 @@ struct LinkVisibility {
   [[nodiscard]] bool interior() const noexcept { return transit_positions > 0; }
 };
 
-/// Per-link visibility, keyed by PathCorpus::key.  `threads`: 1 = sequential
-/// legacy path (default), 0 = all hardware threads; per-chunk tallies merge
-/// by addition and VP-set union, so results are thread-count invariant.
+/// Per-link visibility, keyed by PathCorpus::key: one pass over the corpus's
+/// path table, tallied in link-indexed arrays.  `threads` is accepted for
+/// source compatibility and ignored.
 [[nodiscard]] std::unordered_map<std::uint64_t, LinkVisibility> link_visibility(
     const paths::PathCorpus& corpus, std::size_t threads = 1);
 

@@ -34,6 +34,7 @@ class PathCorpus {
     records_.push_back({vp, prefix, std::move(path)});
   }
   void add(PathRecord record) { records_.push_back(std::move(record)); }
+  void reserve(std::size_t records) { records_.reserve(records); }
 
   /// Build from any range of records exposing .vp/.prefix/.path (e.g.
   /// bgpsim::ObservedRoute) without coupling this module to their types.

@@ -46,9 +46,10 @@ class AsnInterner {
     return AsnInterner(std::move(asns));
   }
 
-  /// Build from an already sorted, strictly ascending, AS0-free list (e.g.
-  /// AsGraph::ases() or a snapshot AS table).  Cheapest constructor; the
-  /// precondition is the caller's to uphold (checked in debug builds only).
+  /// Build from an already sorted, strictly ascending list (e.g.
+  /// AsGraph::ases(), a snapshot AS table, or the hops of a sanitized path
+  /// table).  Cheapest constructor; the precondition is the caller's to
+  /// uphold.  Unlike from_asns, an AS0 entry is kept.
   [[nodiscard]] static AsnInterner from_sorted_unique(std::vector<Asn> asns) {
     return AsnInterner(std::move(asns));
   }

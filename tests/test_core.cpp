@@ -55,27 +55,42 @@ TEST(Degrees, RankingOrderAndTies) {
 
 // -------------------------------------------------------------- clique ----
 
+/// Maximal cliques over the observed adjacency of `corpus`, as ASN lists.
+std::vector<std::vector<Asn>> corpus_cliques(const paths::PathCorpus& corpus,
+                                             const std::vector<Asn>& vertices) {
+  auto table = paths::PathTable::intern(corpus);
+  table.index_links();
+  std::vector<topology::NodeId> ids;
+  for (const Asn as : vertices) ids.push_back(table.interner().id_of(as));
+  std::vector<std::vector<Asn>> out;
+  for (const auto& clique : maximal_cliques(ObservedAdjacency::build(table), ids)) {
+    std::vector<Asn> asns;
+    for (const topology::NodeId id : clique) asns.push_back(table.interner().asn_of(id));
+    out.push_back(std::move(asns));
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
 TEST(Clique, BronKerboschFindsAllMaximalCliques) {
-  // Graph: triangle {1,2,3} plus edge 3-4.
-  AdjacencySet adjacency;
-  auto connect = [&](std::uint32_t a, std::uint32_t b) {
-    adjacency[Asn(a)].insert(Asn(b));
-    adjacency[Asn(b)].insert(Asn(a));
-  };
-  connect(1, 2);
-  connect(1, 3);
-  connect(2, 3);
-  connect(3, 4);
-  auto cliques = maximal_cliques(adjacency, {Asn(1), Asn(2), Asn(3), Asn(4)});
-  std::sort(cliques.begin(), cliques.end());
+  // Graph: triangle {1,2,3} plus edge 3-4, observed as two-hop paths.
+  paths::PathCorpus corpus;
+  corpus.add(rec(1, 1, {1, 2}));
+  corpus.add(rec(1, 2, {1, 3}));
+  corpus.add(rec(2, 3, {2, 3}));
+  corpus.add(rec(3, 4, {3, 4}));
+  const auto cliques = corpus_cliques(corpus, {Asn(1), Asn(2), Asn(3), Asn(4)});
   ASSERT_EQ(cliques.size(), 2u);
   EXPECT_EQ(cliques[0], (std::vector<Asn>{Asn(1), Asn(2), Asn(3)}));
   EXPECT_EQ(cliques[1], (std::vector<Asn>{Asn(3), Asn(4)}));
 }
 
 TEST(Clique, SingletonWhenNoEdges) {
-  AdjacencySet adjacency;
-  const auto cliques = maximal_cliques(adjacency, {Asn(1), Asn(2)});
+  // Single-hop paths intern both ASes but observe no link.
+  paths::PathCorpus corpus;
+  corpus.add(rec(1, 1, {1}));
+  corpus.add(rec(2, 2, {2}));
+  const auto cliques = corpus_cliques(corpus, {Asn(1), Asn(2)});
   EXPECT_EQ(cliques.size(), 2u);  // two singletons
 }
 
