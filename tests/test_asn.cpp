@@ -38,9 +38,12 @@ TEST(Asn, ParseRejectsMalformed) {
   EXPECT_FALSE(Asn::parse("4294967296"));  // > 32 bit
 }
 
+// gtest names each case after the parameter's raw bytes, so the padding
+// after `reserved` is spelled out and zeroed to keep the names stable.
 struct ReservedCase {
   std::uint32_t value;
   bool reserved;
+  std::uint8_t padding[3] = {};
 };
 
 class AsnReservedTest : public ::testing::TestWithParam<ReservedCase> {};

@@ -2,6 +2,7 @@
 
 #include <set>
 #include <sstream>
+#include <string>
 
 #include "topogen/topogen.h"
 #include "topology/serialization.h"
@@ -161,7 +162,7 @@ TEST(Topogen, ContentStubsAreStubsWithPeers) {
 
 // Parameterized invariants across presets and seeds.
 class TopogenInvariants
-    : public ::testing::TestWithParam<std::tuple<const char*, std::uint64_t>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, std::uint64_t>> {};
 
 TEST_P(TopogenInvariants, HoldForPresetAndSeed) {
   auto params = GenParams::preset(std::get<0>(GetParam()));
@@ -180,7 +181,8 @@ TEST_P(TopogenInvariants, HoldForPresetAndSeed) {
 }
 
 INSTANTIATE_TEST_SUITE_P(PresetsAndSeeds, TopogenInvariants,
-                         ::testing::Combine(::testing::Values("tiny", "small"),
+                         ::testing::Combine(::testing::Values(std::string("tiny"),
+                                                              std::string("small")),
                                             ::testing::Values(1u, 42u, 1234u)));
 
 // ------------------------------------------- adversarial scenarios -------
