@@ -1,10 +1,12 @@
 // Parallel scaling of the deterministic thread pool across the pipeline's
-// hot stages: cone closure, degree tally, link visibility, and the full
-// inference run.  Not a paper artefact — this is the engineering harness for
-// the util::ThreadPool engine: it measures wall-clock speedup at 1/2/4/8
-// workers on a topogen graph (default 50k ASes), verifies that every stage's
-// output is identical to the single-threaded run, and emits machine-readable
-// JSON so the BENCH_*.json trajectory tracks scaling across PRs.
+// hot stages: degree tally, link visibility, and the full inference run,
+// plus cone closure (sequential at every count; the column tracks its cost,
+// AsGraph::freeze included).  Not a paper artefact — this is the
+// engineering harness for the util::ThreadPool engine: it measures
+// wall-clock speedup at 1/2/4/8 workers on a topogen graph (default 50k
+// ASes), verifies that every stage's output is identical to the
+// single-threaded run, and emits machine-readable JSON so the BENCH_*.json
+// trajectory tracks scaling across PRs.
 //
 //     bench_parallel_scaling [total_ases] [seed] [json_out]
 //
@@ -164,9 +166,6 @@ int main(int argc, char** argv) {
               << timings["inference"][threads] << " ms\n";
   }
 
-  const double cone_speedup_4t =
-      timings["cone_closure"][1] / std::max(timings["cone_closure"][4], 1e-9);
-  std::cout << "cone-closure speedup at 4 threads: " << cone_speedup_4t << "x\n";
   std::cout << "outputs identical across thread counts: "
             << (identical ? "yes" : "NO — BUG") << "\n";
 

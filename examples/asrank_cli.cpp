@@ -915,7 +915,6 @@ int cmd_ingest(const Args& args) {
 
   ingest::EpochBuilderConfig builder_config;
   builder_config.inference.threads = args.get_u64("threads", 0);
-  builder_config.cone_threads = args.get_u64("threads", 0);
   builder_config.full_closure_threshold = args.get_double("dirty-threshold", 0.5);
   builder_config.verify_batch = args.get("verify-batch").has_value();
   // Extra algorithm sections per emitted epoch.  The incremental builder is

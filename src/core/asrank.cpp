@@ -535,6 +535,8 @@ void Pipeline::enforce_transit_free_clique() {
 
 void Pipeline::finalize_graph() {
   for (std::size_t i = 0; i < table_.link_count(); ++i) {
+    // A repeated hop (prepending kept by the sanitizer) is no AS link.
+    if (table_.link_lo(i) == table_.link_hi(i)) continue;
     const Asn lo = table_.interner().asn_of(table_.link_lo(i));
     const Asn hi = table_.interner().asn_of(table_.link_hi(i));
     switch (link_state_[i].kind) {

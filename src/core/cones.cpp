@@ -22,120 +22,115 @@ using topology::kNoNode;
 using topology::NodeId;
 using topology::TopologyView;
 
-/// Fixed-width bitset over node ids for fast cone unions (the shared
-/// blocked-bitset utility also backing core::ConeBitset in the serving
-/// layer).
-using Bits = topology::DenseBitset;
-
-/// Set-bit extraction in id order (== ascending ASN), skipping zero words.
-std::vector<Asn> members_of(const Bits& bits, const AsnInterner& interner) {
-  std::vector<Asn> members;
-  topology::for_each_bit(bits.words(), [&](std::size_t id) {
-    members.push_back(interner.asn_of(static_cast<NodeId>(id)));
-  });
-  return members;
-}
-
-/// Reverse-topological levels of the customer DAG: level 0 holds childless
-/// nodes, and every node sits strictly above all of its customers.  Within a
-/// level no node depends on another, which is what makes the level-parallel
-/// closure race-free.  Throws on cycles (assumption A3), like the DFS path.
-template <typename CustomersFn>
-std::vector<std::vector<NodeId>> reverse_topo_levels(std::size_t n,
-                                                     const CustomersFn& customers) {
-  std::vector<std::size_t> pending(n, 0);
-  std::vector<std::vector<NodeId>> parents(n);
-  for (NodeId i = 0; i < n; ++i) {
-    const auto row = customers(i);
-    pending[i] = row.size();
-    for (const NodeId c : row) parents[c].push_back(i);
-  }
-
-  std::vector<std::vector<NodeId>> levels;
-  std::vector<NodeId> frontier;
-  for (NodeId i = 0; i < n; ++i) {
-    if (pending[i] == 0) frontier.push_back(i);
-  }
-  std::size_t finalized = 0;
-  while (!frontier.empty()) {
-    finalized += frontier.size();
-    std::vector<NodeId> next;
-    for (const NodeId node : frontier) {
-      for (const NodeId p : parents[node]) {
-        if (--pending[p] == 0) next.push_back(p);
-      }
-    }
-    std::sort(next.begin(), next.end());
-    levels.push_back(std::move(frontier));
-    frontier = std::move(next);
-  }
-  if (finalized != n) {
-    throw std::invalid_argument("customer cones: provider graph has a cycle");
-  }
-  return levels;
-}
-
 /// Memoized post-order closure over an arbitrary p2c sub-relation given as a
-/// per-node customer-row accessor (NodeId -> span<const NodeId>).  The loop
-/// body is pure array traversal plus bitset unions — no hashing anywhere.
-/// threads == 1 runs the legacy sequential DFS; more workers merge each
-/// reverse-topological level in parallel — every node writes only its own
-/// cone and reads only cones from strictly lower levels, so the bitsets (and
-/// therefore the output) are identical at any worker count.
+/// per-node customer-row accessor (NodeId -> span<const NodeId>).  Each cone
+/// is the node plus the union of its customers' cones, held as a sorted
+/// NodeId list: members are appended once each (a per-node stamp array
+/// dedups) and the list sorted.  Work and memory follow the output (the sum
+/// of cone sizes), not n²; a deep chain still costs n²/2 because its output
+/// does.  A cone whose customers' cones sum to n/32 members or more is built
+/// as a bit row instead, and kept as one if it really is that big: the row
+/// then costs no more bytes than the list, and its word-wise OR into each
+/// provider replaces re-walking overlapping member lists at the dense top of
+/// the hierarchy.  Ids ascend with ASNs, so either form translates to a
+/// sorted member list directly.
 template <typename CustomersFn>
-ConeMap closure(const AsnInterner& interner, const CustomersFn& customers,
-                std::size_t threads) {
+ConeMap closure(const AsnInterner& interner, const CustomersFn& customers) {
   obs::StageTimer stage_timer("cone_closure");
   const std::size_t n = interner.size();
-  util::ThreadPool pool(threads);
-  std::vector<Bits> cones(n, Bits(n));
+  const std::size_t dense_min = std::max<std::size_t>(n / 32, 1);
+  std::vector<std::vector<NodeId>> lists(n);
+  std::vector<std::vector<std::uint64_t>> rows(n);  // non-empty: cone is a bit row
+  std::vector<std::size_t> sizes(n, 0);
+  std::vector<NodeId> stamp(n, kNoNode);  // stamp[m] == node: m already in node's list
+  std::vector<std::uint8_t> state(n, 0);  // 0 = new, 1 = visiting, 2 = done
 
-  if (pool.worker_count() <= 1) {
-    std::vector<std::uint8_t> state(n, 0);  // 0 = new, 1 = visiting, 2 = done
-    for (NodeId root = 0; root < n; ++root) {
-      if (state[root] == 2) continue;
-      // Iterative DFS post-order.
-      std::vector<std::pair<NodeId, std::size_t>> frames{{root, 0}};
-      while (!frames.empty()) {
-        const NodeId node = frames.back().first;
-        std::size_t& child = frames.back().second;
-        const auto row = customers(node);
-        if (child == 0) {
-          if (state[node] == 2) {
-            frames.pop_back();
-            continue;
-          }
-          state[node] = 1;
-          cones[node].set(node);
+  const auto build = [&](NodeId node, std::span<const NodeId> row) {
+    std::size_t bound = 1;
+    for (const NodeId c : row) bound += sizes[c];
+    if (bound < dense_min) {  // so every customer's cone is a list too
+      std::vector<NodeId>& cone = lists[node];
+      cone.push_back(node);
+      stamp[node] = node;
+      for (const NodeId c : row) {
+        for (const NodeId member : lists[c]) {
+          if (stamp[member] == node) continue;
+          stamp[member] = node;
+          cone.push_back(member);
         }
-        if (child < row.size()) {
-          const NodeId next = row[child];
-          ++child;
-          if (state[next] == 1) {
-            throw std::invalid_argument("customer cones: provider graph has a cycle");
-          }
-          if (state[next] != 2) frames.push_back({next, 0});
-          continue;
-        }
-        for (const NodeId c : row) cones[node].merge(cones[c]);
-        state[node] = 2;
-        frames.pop_back();
+      }
+      std::sort(cone.begin(), cone.end());
+      sizes[node] = cone.size();
+      return;
+    }
+    std::vector<std::uint64_t> bits((n + 63) / 64, 0);
+    const auto set = [&](NodeId id) { bits[id >> 6] |= 1ULL << (id & 63); };
+    set(node);
+    for (const NodeId c : row) {
+      if (rows[c].empty()) {
+        for (const NodeId member : lists[c]) set(member);
+      } else {
+        for (std::size_t w = 0; w < bits.size(); ++w) bits[w] |= rows[c][w];
       }
     }
-  } else {
-    for (const std::vector<NodeId>& level : reverse_topo_levels(n, customers)) {
-      pool.for_each_index(level.size(), [&](std::size_t k) {
-        const NodeId node = level[k];
-        cones[node].set(node);
-        for (const NodeId c : customers(node)) cones[node].merge(cones[c]);
+    std::size_t count = 0;
+    for (const std::uint64_t word : bits) count += static_cast<std::size_t>(std::popcount(word));
+    sizes[node] = count;
+    if (count >= dense_min) {
+      rows[node] = std::move(bits);
+    } else {
+      lists[node].reserve(count);
+      topology::for_each_bit(bits, [&](std::size_t id) {
+        lists[node].push_back(static_cast<NodeId>(id));
       });
+    }
+  };
+
+  for (NodeId root = 0; root < n; ++root) {
+    if (state[root] == 2) continue;
+    // Iterative DFS post-order.
+    std::vector<std::pair<NodeId, std::size_t>> frames{{root, 0}};
+    while (!frames.empty()) {
+      const NodeId node = frames.back().first;
+      std::size_t& child = frames.back().second;
+      const auto row = customers(node);
+      if (child == 0) {
+        if (state[node] == 2) {
+          frames.pop_back();
+          continue;
+        }
+        state[node] = 1;
+      }
+      if (child < row.size()) {
+        const NodeId next = row[child];
+        ++child;
+        if (state[next] == 1) {
+          throw std::invalid_argument("customer cones: provider graph has a cycle");
+        }
+        if (state[next] != 2) frames.push_back({next, 0});
+        continue;
+      }
+      build(node, row);
+      state[node] = 2;
+      frames.pop_back();
     }
   }
 
-  std::vector<std::vector<Asn>> members(n);
-  pool.for_each_index(n, [&](std::size_t i) { members[i] = members_of(cones[i], interner); });
   ConeMap out;
-  for (NodeId i = 0; i < n; ++i) out.emplace(interner.asn_of(i), std::move(members[i]));
+  for (NodeId i = 0; i < n; ++i) {
+    std::vector<Asn> members;
+    members.reserve(sizes[i]);
+    if (rows[i].empty()) {
+      for (const NodeId id : lists[i]) members.push_back(interner.asn_of(id));
+    } else {
+      topology::for_each_bit(rows[i], [&](std::size_t id) {
+        members.push_back(interner.asn_of(static_cast<NodeId>(id)));
+      });
+    }
+    std::vector<NodeId>().swap(lists[i]);
+    std::vector<std::uint64_t>().swap(rows[i]);
+    out.emplace(interner.asn_of(i), std::move(members));
+  }
   return out;
 }
 
@@ -148,9 +143,8 @@ bool is_p2c(const TopologyView& view, NodeId a, NodeId b) {
 
 }  // namespace
 
-ConeMap recursive_cone(const TopologyView& view, std::size_t threads) {
-  return closure(view.interner(), [&](NodeId node) { return view.customers(node); },
-                 threads);
+ConeMap recursive_cone(const TopologyView& view, std::size_t /*threads*/) {
+  return closure(view.interner(), [&](NodeId node) { return view.customers(node); });
 }
 
 ConeMap recursive_cone(const AsGraph& graph, std::size_t threads) {
@@ -389,13 +383,10 @@ ConeMap provider_peer_observed_cone(const TopologyView& view,
   }
   for (std::size_t i = 0; i < n; ++i) offsets[i + 1] += offsets[i];
 
-  return closure(
-      interner,
-      [&](NodeId node) {
-        return std::span<const NodeId>(customers).subspan(
-            offsets[node], offsets[node + 1] - offsets[node]);
-      },
-      threads);
+  return closure(interner, [&](NodeId node) {
+    return std::span<const NodeId>(customers).subspan(offsets[node],
+                                                      offsets[node + 1] - offsets[node]);
+  });
 }
 
 ConeMap provider_peer_observed_cone(const AsGraph& graph, const paths::PathCorpus& corpus,

@@ -17,12 +17,18 @@
 // Invariant (tested): recursive ⊇ provider/peer observed and
 // recursive ⊇ BGP observed, for every AS.  Every cone contains its own AS.
 //
-// All computations run on the dense-id CSR substrate (topology::TopologyView):
-// the closure walks flat customer rows indexed by NodeId and unions fixed-
-// width bitsets, so the hot loop is cache-linear with no hashing.  The
-// AsGraph overloads freeze the graph first; callers that already hold a view
-// (the CLI, the snapshot builder) should pass it directly and pay the freeze
-// cost once.
+// All computations run on the dense-id CSR substrate (topology::TopologyView).
+// The closure is one sequential post-order walk over flat customer rows
+// indexed by NodeId: each cone is a sorted id list, the node plus the
+// deduplicated union of its customers' lists.  It is output-sensitive —
+// O(Σ|cone| log |cone|) time and O(Σ|cone|) memory, no n×n matrix — though a
+// deep chain still costs n²/2 because its output does.  Cones of n/32
+// members or more are held as bit rows instead (no more bytes than the
+// list), so the overlapping cones at the top of the hierarchy union by
+// word-wise OR.  The AsGraph
+// overloads freeze the graph first; callers that already hold a view (the
+// CLI, the snapshot builder) should pass it directly and pay the freeze cost
+// once.
 #pragma once
 
 #include <cstddef>
@@ -48,10 +54,10 @@ enum class ConeMethod { kRecursive, kBgpObserved, kProviderPeerObserved };
 }
 
 // Every computation below takes a worker-thread count: 1 (the default) is
-// the exact sequential legacy path, 0 means all hardware threads, and the
-// result is bit-identical at any count (see util/thread_pool.h — the closure
-// parallelizes over reverse-topological levels of the p2c DAG, the observed
-// cones over path-corpus chunks with commutative merges).
+// the sequential path, 0 means all hardware threads, and the result is
+// bit-identical at any count.  Only the observed cones use it (path-corpus
+// chunks with commutative merges, see util/thread_pool.h); the closure is
+// sequential, so the count has no effect on recursive_cone.
 
 /// Establish assumption A3 in place: inside every strongly connected
 /// component of the provider->customer digraph, re-orient c2p edges so the

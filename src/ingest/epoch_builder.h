@@ -32,8 +32,8 @@ namespace asrank::ingest {
 struct EpochBuilderConfig {
   core::InferenceConfig inference;
 
-  /// Worker threads for cone closure (full builds and the incremental
-  /// fallback).  Same contract as core::recursive_cone.
+  /// Passed to core::recursive_cone, whose closure is sequential: it has no
+  /// effect, and stays only because the benchmark harness sets it.
   std::size_t cone_threads = 1;
 
   /// Dirty fraction above which the incremental closure abandons reuse for

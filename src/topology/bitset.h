@@ -1,43 +1,21 @@
-// Blocked bitsets over dense node ids, plus the word-span kernels the hot
-// paths are built from.  One bit per NodeId, 64 ids per machine word, so
-// set algebra over id sets (cone unions in core/cones.cpp, cone
-// intersection/diff in the serving layer's core::ConeBitset) runs as
-// word-wise OR/AND/ANDNOT loops with popcount/countr_zero extraction —
+// Word-span kernels over blocked bitsets of dense node ids.  One bit per
+// NodeId, 64 ids per machine word, so set algebra over id sets (the big
+// cones of the closure in core/cones.cpp, cone intersection/diff in the
+// serving layer's core::ConeBitset) runs as word-wise OR/AND/ANDNOT loops
+// with popcount/countr_zero extraction —
 // cache-linear, branch-light, and extraction order is ascending id, which
 // is ascending ASN everywhere the snapshot id space is in play.  That
 // ordering is what lets bitset kernels reproduce the sorted-array kernels
 // byte for byte (locked down by tests/test_differential.cpp).
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <vector>
 
 namespace asrank::topology {
-
-/// Fixed-width bitset over node ids.
-class DenseBitset {
- public:
-  DenseBitset() = default;
-  explicit DenseBitset(std::size_t bits) : words_((bits + 63) / 64, 0) {}
-
-  void set(std::size_t i) noexcept { words_[i >> 6] |= (1ULL << (i & 63)); }
-  [[nodiscard]] bool test(std::size_t i) const noexcept {
-    return (words_[i >> 6] >> (i & 63)) & 1ULL;
-  }
-  /// Word-wise OR of an equally-sized bitset.
-  void merge(const DenseBitset& other) noexcept {
-    for (std::size_t w = 0; w < words_.size(); ++w) words_[w] |= other.words_[w];
-  }
-
-  [[nodiscard]] std::span<const std::uint64_t> words() const noexcept { return words_; }
-  [[nodiscard]] std::size_t word_count() const noexcept { return words_.size(); }
-
- private:
-  std::vector<std::uint64_t> words_;
-};
 
 /// Number of set bits in a & b (over the shorter common prefix).
 [[nodiscard]] inline std::size_t popcount_and(

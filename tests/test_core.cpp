@@ -291,6 +291,21 @@ TEST(Pipeline, EmptyCorpus) {
   EXPECT_TRUE(result.audit.p2c_acyclic);
 }
 
+TEST(Pipeline, KeptPrependingAddsNoSelfLink) {
+  // With prepending kept, a repeated hop reaches the link table as a pair
+  // of equal endpoints; it must not become an AS link.
+  paths::PathCorpus corpus = hand_corpus();
+  corpus.add(rec(3, 100, {3, 3, 1, 1, 4, 7, 7}));
+  corpus.add(rec(5, 101, {5, 5, 5, 2, 1, 3, 6}));
+  InferenceConfig config = hand_config();
+  config.sanitizer.compress_prepending = false;
+  InferenceResult result;
+  ASSERT_NO_THROW(result = AsRankInference(config).run(corpus));
+  EXPECT_GT(result.graph.link_count(), 0u);
+  for (const Link& link : result.graph.links()) EXPECT_NE(link.a, link.b);
+  EXPECT_EQ(result.graph.view(Asn(1), Asn(4)), RelView::kCustomer);
+}
+
 TEST(Pipeline, DeterministicAcrossRuns) {
   const auto a = run_hand();
   const auto b = run_hand();
@@ -395,6 +410,81 @@ TEST(Cones, RecursiveRejectsCycles) {
   g.add_p2c(Asn(2), Asn(3));
   g.add_p2c(Asn(3), Asn(1));
   EXPECT_THROW((void)recursive_cone(g), std::invalid_argument);
+}
+
+TEST(Cones, RecursiveClosureMixesListAndRowCones) {
+  // 128 ASes, so cones of 128/32 = 4 or more members are held as bit rows.
+  // AS1's customers sum to 4 members but overlap (its cone has 3), AS5's
+  // cone is exactly 4, and AS9 unions AS5's row with AS1's list.
+  AsGraph g;
+  g.add_p2c(Asn(1), Asn(2));
+  g.add_p2c(Asn(1), Asn(4));
+  g.add_p2c(Asn(2), Asn(4));
+  g.add_p2c(Asn(5), Asn(6));
+  g.add_p2c(Asn(6), Asn(7));
+  g.add_p2c(Asn(7), Asn(8));
+  g.add_p2c(Asn(9), Asn(5));
+  g.add_p2c(Asn(9), Asn(1));
+  for (std::uint32_t as = 100; as < 220; as += 2) g.add_p2p(Asn(as), Asn(as + 1));
+  ASSERT_EQ(g.ases().size(), 128u);
+
+  const auto cones = recursive_cone(g);
+  EXPECT_EQ(cones.at(Asn(1)), (std::vector<Asn>{Asn(1), Asn(2), Asn(4)}));
+  EXPECT_EQ(cones.at(Asn(6)), (std::vector<Asn>{Asn(6), Asn(7), Asn(8)}));
+  EXPECT_EQ(cones.at(Asn(5)), (std::vector<Asn>{Asn(5), Asn(6), Asn(7), Asn(8)}));
+  EXPECT_EQ(cones.at(Asn(9)), (std::vector<Asn>{Asn(1), Asn(2), Asn(4), Asn(5), Asn(6),
+                                                Asn(7), Asn(8), Asn(9)}));
+  EXPECT_EQ(cones.at(Asn(150)), (std::vector<Asn>{Asn(150)}));
+}
+
+TEST(Cones, RecursiveRejectsCyclesUnreachableFromFirstNode) {
+  // Node 0 (AS1) sits in an acyclic component; the cycle is only met when
+  // the closure starts a later root.
+  AsGraph g;
+  g.add_p2c(Asn(1), Asn(2));
+  g.add_p2c(Asn(2), Asn(3));
+  g.add_p2c(Asn(10), Asn(11));
+  g.add_p2c(Asn(11), Asn(12));
+  g.add_p2c(Asn(12), Asn(10));
+  EXPECT_THROW((void)recursive_cone(g), std::invalid_argument);
+  EXPECT_THROW((void)recursive_cone(g.freeze()), std::invalid_argument);
+}
+
+TEST(Cones, RecursiveClosureScalesWithConeSizesOnAWideTree) {
+  // 100k ASes, depth 3: AS1 -> 10 -> 100 each -> 99 stubs each.  The cones
+  // sum to about 4n members; an n x n bit matrix would be 1.25 GB, while the
+  // eleven cones big enough for bit rows take 11 x 12.5 kB.
+  AsGraph g;
+  std::uint32_t next = 2;
+  std::vector<Asn> level1, level2;
+  for (int i = 0; i < 10; ++i) {
+    level1.push_back(Asn(next++));
+    g.add_p2c(Asn(1), level1.back());
+  }
+  for (const Asn parent : level1) {
+    for (int i = 0; i < 100; ++i) {
+      level2.push_back(Asn(next++));
+      g.add_p2c(parent, level2.back());
+    }
+  }
+  for (const Asn parent : level2) {
+    for (int i = 0; i < 99; ++i) g.add_p2c(parent, Asn(next++));
+  }
+  const std::size_t n = next - 1;
+  ASSERT_EQ(n, 100'011u);
+
+  const auto cones = recursive_cone(g);
+  ASSERT_EQ(cones.size(), n);
+  EXPECT_EQ(cones.at(Asn(1)).size(), n);
+  EXPECT_EQ(cones.at(level1.front()).size(), 1u + 100u * 100u);
+  EXPECT_EQ(cones.at(level2.back()).size(), 100u);
+  EXPECT_EQ(cones.at(Asn(next - 1)), (std::vector<Asn>{Asn(next - 1)}));
+  std::size_t members = 0;
+  for (const auto& [as, cone] : cones) {
+    EXPECT_TRUE(std::is_sorted(cone.begin(), cone.end()));
+    members += cone.size();
+  }
+  EXPECT_EQ(members, n + (n - 1) + (n - 11) + (n - 1011));
 }
 
 TEST(Cones, BreakProviderCyclesImposesRankOrder) {

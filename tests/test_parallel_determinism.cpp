@@ -233,7 +233,8 @@ TEST(ParallelDeterminism, TallyStagesMatchSequential) {
 }
 
 TEST(ParallelDeterminism, ConeClosureMatchesSequentialOnGroundTruth) {
-  // The level-parallel closure path (threads > 1) against the DFS path.
+  // The closure is sequential whatever the thread count; a count must never
+  // change the result.
   auto gen = topogen::GenParams::preset("small");
   gen.seed = 99;
   const auto truth = topogen::generate(gen);
@@ -288,8 +289,8 @@ TEST(ParallelDeterminism, ViewConeOverloadsMatchGraphOverloads) {
 }
 
 TEST(ParallelDeterminism, ParallelClosureDetectsCycles) {
-  // The Kahn-level path must reject cyclic provider graphs exactly like the
-  // DFS path (assumption A3).
+  // Cyclic provider graphs are rejected at every thread count (assumption
+  // A3).
   AsGraph graph;
   graph.add_p2c(Asn(1), Asn(2));
   graph.add_p2c(Asn(2), Asn(3));

@@ -13,10 +13,17 @@
 //   * inferred clique members are pairwise non-c2p (assumption A1);
 //   * the recursive and BGP-observed cone definitions agree on
 //     full-visibility inputs (a corpus containing every maximal p2c descent
-//     chain).
+//     chain);
+//   * the recursive and provider/peer-observed closures equal a brute-force
+//     per-AS reachability closure (topogen medium/large and a dense-top
+//     hierarchy whose top cones cover almost every AS).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "bgpsim/observation.h"
@@ -25,6 +32,7 @@
 #include "topogen/topogen.h"
 #include "topology/interner.h"
 #include "topology/topology_view.h"
+#include "util/rng.h"
 
 namespace asrank {
 namespace {
@@ -184,6 +192,147 @@ TEST(Properties, RecursiveConeDominatesObservedCones) {
       EXPECT_TRUE(subset_of(ppdc.at(as), members));
       EXPECT_TRUE(subset_of(observed.at(as), members));
     }
+  }
+}
+
+/// Reference closure: per-AS breadth-first reachability over `below`
+/// (AS -> customers), collected in a std::set.  No memoization, no dense ids.
+ConeMap reachability_cones(const std::vector<Asn>& ases,
+                           const std::map<Asn, std::vector<Asn>>& below) {
+  ConeMap out;
+  for (const Asn root : ases) {
+    std::set<Asn> reached{root};
+    std::vector<Asn> frontier{root};
+    while (!frontier.empty()) {
+      const Asn as = frontier.back();
+      frontier.pop_back();
+      const auto it = below.find(as);
+      if (it == below.end()) continue;
+      for (const Asn c : it->second) {
+        if (reached.insert(c).second) frontier.push_back(c);
+      }
+    }
+    out.emplace(root, std::vector<Asn>(reached.begin(), reached.end()));
+  }
+  return out;
+}
+
+std::map<Asn, std::vector<Asn>> customer_lists(const AsGraph& graph) {
+  std::map<Asn, std::vector<Asn>> below;
+  for (const Asn as : graph.ases()) {
+    const auto customers = graph.customers(as);
+    below[as].assign(customers.begin(), customers.end());
+  }
+  return below;
+}
+
+/// The ppdc sub-relation, re-derived from its definition on the AsGraph: a
+/// p2c link counts once some path descends across it after entering the
+/// descent from a provider or peer.
+std::map<Asn, std::vector<Asn>> observed_descents(const AsGraph& graph,
+                                                  const paths::PathCorpus& corpus) {
+  std::set<std::pair<Asn, Asn>> links;
+  for (const auto& record : corpus.records()) {
+    const auto hops = record.path.hops();
+    for (std::size_t i = 1; i + 1 < hops.size(); ++i) {
+      const auto entry = graph.view(hops[i], hops[i - 1]);
+      if (!entry || (*entry != RelView::kProvider && *entry != RelView::kPeer)) continue;
+      for (std::size_t j = i; j + 1 < hops.size(); ++j) {
+        if (graph.view(hops[j], hops[j + 1]) != RelView::kCustomer) break;
+        links.insert({hops[j], hops[j + 1]});
+      }
+    }
+  }
+  std::map<Asn, std::vector<Asn>> below;
+  for (const auto& [provider, customer] : links) below[provider].push_back(customer);
+  return below;
+}
+
+/// Random loop-free walks: up to three provider hops, an optional peer hop,
+/// then up to five customer hops.  Enough descents entered from above (and
+/// from below) to make the ppdc filter select a proper subset of the links.
+paths::PathCorpus random_walks(const AsGraph& graph, std::uint64_t seed, std::size_t count) {
+  util::Rng rng(seed);
+  const std::vector<Asn> ases = graph.ases();
+  const auto pick = [&](std::span<const Asn> options) {
+    return options.empty() ? Asn() : options[rng.uniform(options.size())];
+  };
+  paths::PathCorpus corpus;
+  for (std::size_t w = 0; w < count; ++w) {
+    std::vector<Asn> hops{ases[rng.uniform(ases.size())]};
+    const auto extend = [&](Asn next) {
+      if (next == Asn() || std::find(hops.begin(), hops.end(), next) != hops.end()) {
+        return false;
+      }
+      hops.push_back(next);
+      return true;
+    };
+    for (std::uint64_t up = rng.uniform(4); up > 0; --up) {
+      if (!extend(pick(graph.providers(hops.back())))) break;
+    }
+    if (rng.uniform(2) == 0) (void)extend(pick(graph.peers(hops.back())));
+    for (std::uint64_t down = rng.uniform(6); down > 0; --down) {
+      if (!extend(pick(graph.customers(hops.back())))) break;
+    }
+    if (hops.size() < 2) continue;
+    corpus.add(hops.front(), Prefix::v4(static_cast<std::uint32_t>(w) << 8, 24),
+               AsPath(hops));
+  }
+  return corpus;
+}
+
+/// A top-heavy hierarchy: every clique member provides to every transit AS,
+/// transit ASes buy from up to two earlier transit ASes, and every stub buys
+/// from one to three transit ASes.  Each clique cone covers every AS but the
+/// other clique members, the shape of the real Internet's tier-1 cones.
+AsGraph dense_top_graph(std::uint64_t seed) {
+  util::Rng rng(seed);
+  constexpr std::uint32_t kClique = 8, kTransit = 200, kStubs = 4000;
+  AsGraph graph;
+  for (std::uint32_t a = 1; a <= kClique; ++a) {
+    for (std::uint32_t b = a + 1; b <= kClique; ++b) graph.add_p2p(Asn(a), Asn(b));
+  }
+  const auto transit = [](std::uint64_t i) { return Asn(static_cast<std::uint32_t>(100 + i)); };
+  for (std::uint32_t t = 0; t < kTransit; ++t) {
+    for (std::uint32_t c = 1; c <= kClique; ++c) graph.add_p2c(Asn(c), transit(t));
+    for (int k = 0; k < 2 && t > 0; ++k) graph.add_p2c(transit(rng.uniform(t)), transit(t));
+    if (t > 0 && rng.uniform(3) == 0) {
+      const Asn peer = transit(rng.uniform(t));
+      if (!graph.view(peer, transit(t))) graph.add_p2p(peer, transit(t));
+    }
+  }
+  for (std::uint32_t s = 0; s < kStubs; ++s) {
+    for (std::uint64_t k = 1 + rng.uniform(3); k > 0; --k) {
+      graph.add_p2c(transit(rng.uniform(kTransit)), Asn(1000 + s));
+    }
+  }
+  return graph;
+}
+
+TEST(Properties, ConeClosuresMatchBruteForceReachability) {
+  const auto check = [](const AsGraph& graph, std::uint64_t seed, const std::string& label) {
+    const std::vector<Asn> ases = graph.ases();
+    EXPECT_EQ(core::recursive_cone(graph), reachability_cones(ases, customer_lists(graph)))
+        << label;
+    const auto corpus = random_walks(graph, seed, 4 * ases.size());
+    const auto ppdc = core::provider_peer_observed_cone(graph, corpus);
+    EXPECT_EQ(ppdc, reachability_cones(ases, observed_descents(graph, corpus))) << label;
+    return ppdc;
+  };
+  for (const std::string preset : {"medium", "large"}) {
+    for (const std::uint64_t seed : {7ULL, 1009ULL, 52625ULL}) {
+      auto gen = topogen::GenParams::preset(preset);
+      gen.seed = seed;
+      (void)check(topogen::generate(gen).graph, seed, preset + " seed " + std::to_string(seed));
+    }
+  }
+  for (const std::uint64_t seed : {3ULL, 11ULL}) {
+    const AsGraph graph = dense_top_graph(seed);
+    const auto ppdc = check(graph, seed, "dense-top seed " + std::to_string(seed));
+    // The case the shape exists for: the top cones hold almost every AS.
+    const auto recursive = core::recursive_cone(graph);
+    EXPECT_EQ(recursive.at(Asn(1)).size(), graph.ases().size() - 7);
+    EXPECT_LT(ppdc.at(Asn(1)).size(), recursive.at(Asn(1)).size());
   }
 }
 
